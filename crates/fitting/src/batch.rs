@@ -2,17 +2,17 @@
 //!
 //! [`fit_batch`] runs [`LossCurveFitter::fit_incremental`] for up to
 //! [`LANES`] jobs at once by replaying the exact same candidate
-//! trajectory per job while executing the numeric work — regression-row
-//! construction, Gram products, Lawson–Hanson dual vectors, residual
-//! accumulation — as fixed-width lane-major passes over
-//! structure-of-arrays buffers. The inner loops are written so the
-//! compiler can vectorize across lanes (no cross-lane reductions,
-//! branchless selects, `[f64; LANES]` accumulators), which is where the
-//! speedup comes from; on CPUs with avx512f, [`fit_batch`] additionally
-//! dispatches to an AVX-512 compilation of the passes, with the hottest
-//! one (row build + Gram/RHS) hand-vectorized via intrinsics. Per-lane
-//! *control* (grid walk, memoization, golden-section branching, NNLS
-//! active-set changes) stays scalar.
+//! trajectory per job while executing the numeric work — Gram products,
+//! Lawson–Hanson dual vectors, residual accumulation — as fixed-width
+//! lane-major passes over structure-of-arrays sample buffers. The inner
+//! loops are written so the compiler can vectorize across lanes (no
+//! cross-lane reductions, branchless selects, `[f64; LANES]`
+//! accumulators), which is where the speedup comes from; on CPUs with
+//! avx512f, [`fit_batch`] additionally dispatches to an AVX-512
+//! compilation of the passes, with the two sample sweeps (Gram/RHS and
+//! the dual) hand-vectorized via intrinsics. Per-lane *control* (grid
+//! walk, memoization, golden-section branching, NNLS active-set
+//! changes) stays scalar.
 //!
 //! # Bit-identity
 //!
@@ -35,10 +35,17 @@
 //!   accumulator. Accumulators never hold `-0.0` (they start at `+0.0`
 //!   and `+0.0 + -0.0 = +0.0`), so those terms are bitwise no-ops.
 //! * **Gram caching is exact.** `nnls2`'s subproblem Gram/RHS depend on
-//!   the rows only, so they are computed once per candidate in the build
-//!   pass and every active-set solve replays through
-//!   [`solve_sub2_cached`] in O(1) — same accumulation order, and the
-//!   scalar zero-row guards only ever skip exactly-zero terms.
+//!   the rows only, so they are computed once per candidate in pass A
+//!   and every active-set solve replays through [`solve_sub2_cached`]
+//!   in O(1) — same accumulation order, and the scalar zero-row guards
+//!   only ever skip exactly-zero terms.
+//! * **Rows are rebuilt, not stored.** Every sweep that needs the
+//!   regression rows rebuilds them from `ks`/`ls`/β₂ with the same IEEE
+//!   ops (`build_row`), so each rebuild is bitwise the row `nnls2` sees.
+//! * **The final dual sweep is dead.** Once `x` has changed and every
+//!   column is passive or rejected, `nnls2`'s next entering-column scan
+//!   can pick nothing whatever the dual holds, so the lane converges
+//!   without that sweep (see `advance_lane`).
 //! * **Full-sum abandonment is prefix abandonment.** Residual terms
 //!   `e·e` are never NaN (predictions are finite or ±∞, never NaN) and
 //!   non-negative, so partial sums are monotone: the full sum exceeds
@@ -84,12 +91,6 @@ pub struct BatchScratch {
     ks: Vec<f64>,
     /// Preprocessed losses, same layout.
     ls: Vec<f64>,
-    /// Regression row column 0 (`w·k`) for the current wave.
-    row0: Vec<f64>,
-    /// Regression row column 1 (`w`).
-    row1: Vec<f64>,
-    /// Regression targets (`gap`).
-    yv: Vec<f64>,
 }
 
 impl BatchScratch {
@@ -193,12 +194,6 @@ fn fit_group(
     scratch.ks.resize(width, 0.0);
     scratch.ls.clear();
     scratch.ls.resize(width, 0.0);
-    scratch.row0.clear();
-    scratch.row0.resize(width, 0.0);
-    scratch.row1.clear();
-    scratch.row1.resize(width, 0.0);
-    scratch.yv.clear();
-    scratch.yv.resize(width, 0.0);
     let mut lens = [0usize; LANES];
     for (j, (job, p)) in group.iter().zip(pro.iter()).enumerate() {
         lens[j] = p.len;
@@ -645,21 +640,33 @@ struct PassA {
     rhs1: [f64; LANES],
 }
 
-/// Pass A, portable form: builds regression rows (`w·k`, `w`, `gap`)
-/// and accumulates the Gram matrix and RHS in ascending-sample order —
-/// the exact order `nnls2` sums them, so every f64 is bit-identical.
-///
-/// Two loops, not one: each is simple enough for the SLP vectorizer,
-/// where the fused body spills accumulators and compiles scalar. The
-/// split is free of observable effect — the Gram loop re-reads the
-/// rows the build loop just wrote, and each accumulator still sums in
-/// ascending `s`. The two non-arithmetic facts admission needs ride
-/// along as f64 lanes: `kept` counts rows as +1.0 increments (exact up
-/// to 2⁵³), and `nonfin` accumulates `(r0 − r0) + (r1 − r1)` — +0.0
-/// for finite rows, NaN exactly when a row overflowed (the scalar
-/// path's row-validation verdict). LLVM cannot fold `x − x` to zero
-/// without fast-math, so the check survives optimization.
-fn pass_a_scalar(scratch: &mut BatchScratch, width: usize, beta2: &[f64; LANES]) -> PassA {
+/// Regression row of one sample against candidate `beta2`, exactly as
+/// `fit_for_beta2` builds it: `(w·k, w, gap)` with `w = gap²` when
+/// `gap > 1e-9`, else the skipped row's three `+0.0`s, plus the keep
+/// verdict. Rows are never stored: pass A and every dual sweep rebuild
+/// them from `ks`/`ls` with these same IEEE ops (sub, compare, mul,
+/// select), so every rebuild is bitwise the same row.
+#[inline(always)]
+fn build_row(k: f64, l: f64, beta2: f64) -> (f64, f64, f64, bool) {
+    let gap = l - beta2;
+    let keep = gap > 1e-9;
+    let w = gap * gap;
+    let r0 = if keep { w * k } else { 0.0 };
+    let r1 = if keep { w } else { 0.0 };
+    let y = if keep { gap } else { 0.0 };
+    (r0, r1, y, keep)
+}
+
+/// Pass A, portable form: builds each regression row and accumulates
+/// the Gram matrix and RHS in ascending-sample order — the exact order
+/// `nnls2` sums them, so every f64 is bit-identical. The two
+/// non-arithmetic facts admission needs ride along as f64 lanes: `kept`
+/// counts rows as +1.0 increments (exact up to 2⁵³), and `nonfin`
+/// accumulates `(r0 − r0) + (r1 − r1)` — +0.0 for finite rows, NaN
+/// exactly when a row overflowed (the scalar path's row-validation
+/// verdict). LLVM cannot fold `x − x` to zero without fast-math, so the
+/// check survives optimization.
+fn pass_a_scalar(scratch: &BatchScratch, width: usize, beta2: &[f64; LANES]) -> PassA {
     let mut kept = [0.0_f64; LANES];
     let mut nonfin = [0.0_f64; LANES];
     let mut g00 = [0.0_f64; LANES];
@@ -667,31 +674,14 @@ fn pass_a_scalar(scratch: &mut BatchScratch, width: usize, beta2: &[f64; LANES])
     let mut g11 = [0.0_f64; LANES];
     let mut rhs0 = [0.0_f64; LANES];
     let mut rhs1 = [0.0_f64; LANES];
-    for ((ks, ls), ((row0, row1), yv)) in scratch.ks[..width]
+    for (ks, ls) in scratch.ks[..width]
         .chunks_exact(LANES)
         .zip(scratch.ls[..width].chunks_exact(LANES))
-        .zip(
-            scratch.row0[..width]
-                .chunks_exact_mut(LANES)
-                .zip(scratch.row1[..width].chunks_exact_mut(LANES))
-                .zip(scratch.yv[..width].chunks_exact_mut(LANES)),
-        )
     {
         let ks: &[f64; LANES] = ks.try_into().expect("exact chunk");
         let ls: &[f64; LANES] = ls.try_into().expect("exact chunk");
-        let row0: &mut [f64; LANES] = row0.try_into().expect("exact chunk");
-        let row1: &mut [f64; LANES] = row1.try_into().expect("exact chunk");
-        let yv: &mut [f64; LANES] = yv.try_into().expect("exact chunk");
         for j in 0..LANES {
-            let gap = ls[j] - beta2[j];
-            let keep = gap > 1e-9;
-            let w = gap * gap;
-            let r0 = if keep { w * ks[j] } else { 0.0 };
-            let r1 = if keep { w } else { 0.0 };
-            let y = if keep { gap } else { 0.0 };
-            row0[j] = r0;
-            row1[j] = r1;
-            yv[j] = y;
+            let (r0, r1, y, keep) = build_row(ks[j], ls[j], beta2[j]);
             kept[j] += if keep { 1.0 } else { 0.0 };
             // `x − x` is the NaN probe, not a typo: +0.0 for finite x,
             // NaN otherwise, and LLVM cannot fold it without fast-math.
@@ -699,20 +689,6 @@ fn pass_a_scalar(scratch: &mut BatchScratch, width: usize, beta2: &[f64; LANES])
             {
                 nonfin[j] += (r0 - r0) + (r1 - r1);
             }
-        }
-    }
-    for (row0, (row1, yv)) in scratch.row0[..width].chunks_exact(LANES).zip(
-        scratch.row1[..width]
-            .chunks_exact(LANES)
-            .zip(scratch.yv[..width].chunks_exact(LANES)),
-    ) {
-        let row0: &[f64; LANES] = row0.try_into().expect("exact chunk");
-        let row1: &[f64; LANES] = row1.try_into().expect("exact chunk");
-        let yv: &[f64; LANES] = yv.try_into().expect("exact chunk");
-        for j in 0..LANES {
-            let r0 = row0[j];
-            let r1 = row1[j];
-            let y = yv[j];
             g00[j] += r0 * r0;
             g01[j] += r0 * r1;
             g11[j] += r1 * r1;
@@ -745,18 +721,19 @@ fn pass_a_scalar(scratch: &mut BatchScratch, width: usize, beta2: &[f64; LANES])
 /// difference from the scalar path is that masked-out products are
 /// computed and then discarded — their lanes are overwritten with +0.0
 /// by `maskz_mov`, exactly the scalar `else` value.
+///
+/// # Safety
+///
+/// The CPU must support avx512f.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn pass_a_avx512(scratch: &mut BatchScratch, width: usize, beta2: &[f64; LANES]) -> PassA {
+unsafe fn pass_a_avx512(scratch: &BatchScratch, width: usize, beta2: &[f64; LANES]) -> PassA {
     use std::arch::x86_64::*;
-    debug_assert!(width.is_multiple_of(LANES));
-    debug_assert!(scratch.ks.len() >= width && scratch.ls.len() >= width);
-    debug_assert!(
-        scratch.row0.len() >= width && scratch.row1.len() >= width && scratch.yv.len() >= width
-    );
-    // SAFETY: callers size every scratch row to at least `width`
+    assert!(width.is_multiple_of(LANES));
+    assert!(scratch.ks.len() >= width && scratch.ls.len() >= width);
+    // SAFETY: asserted above — `ks`/`ls` hold at least `width`
     // elements and `width` is a multiple of LANES (= 8, one zmm), so
-    // each unaligned 8-lane load/store below stays in bounds.
+    // each unaligned 8-lane load below stays in bounds.
     unsafe {
         let b2 = _mm512_loadu_pd(beta2.as_ptr());
         let eps = _mm512_set1_pd(1e-9);
@@ -770,9 +747,6 @@ unsafe fn pass_a_avx512(scratch: &mut BatchScratch, width: usize, beta2: &[f64; 
         let mut rhs1 = _mm512_setzero_pd();
         let ks_p = scratch.ks.as_ptr();
         let ls_p = scratch.ls.as_ptr();
-        let row0_p = scratch.row0.as_mut_ptr();
-        let row1_p = scratch.row1.as_mut_ptr();
-        let yv_p = scratch.yv.as_mut_ptr();
         let mut off = 0;
         while off < width {
             let ks = _mm512_loadu_pd(ks_p.add(off));
@@ -783,9 +757,6 @@ unsafe fn pass_a_avx512(scratch: &mut BatchScratch, width: usize, beta2: &[f64; 
             let r0 = _mm512_maskz_mov_pd(m, _mm512_mul_pd(w, ks));
             let r1 = _mm512_maskz_mov_pd(m, w);
             let y = _mm512_maskz_mov_pd(m, gap);
-            _mm512_storeu_pd(row0_p.add(off), r0);
-            _mm512_storeu_pd(row1_p.add(off), r1);
-            _mm512_storeu_pd(yv_p.add(off), y);
             kept = _mm512_add_pd(kept, _mm512_maskz_mov_pd(m, one));
             nonfin = _mm512_add_pd(
                 nonfin,
@@ -822,8 +793,130 @@ unsafe fn pass_a_avx512(scratch: &mut BatchScratch, width: usize, beta2: &[f64; 
     }
 }
 
+/// Pass A in the form `use_avx512` selects (the portable one on CPUs
+/// without avx512f).
+#[inline(always)]
+fn pass_a(scratch: &BatchScratch, width: usize, beta2: &[f64; LANES], use_avx512: bool) -> PassA {
+    #[cfg(target_arch = "x86_64")]
+    if use_avx512 && std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: avx512f was just detected.
+        return unsafe { pass_a_avx512(scratch, width, beta2) };
+    }
+    let _ = use_avx512;
+    pass_a_scalar(scratch, width, beta2)
+}
+
+/// Dual sweep in the form `use_avx512` selects (the portable one on
+/// CPUs without avx512f).
+#[inline(always)]
+fn dual_sweep(
+    scratch: &BatchScratch,
+    width: usize,
+    beta2: &[f64; LANES],
+    x0: &[f64; LANES],
+    x1: &[f64; LANES],
+    use_avx512: bool,
+) -> ([f64; LANES], [f64; LANES]) {
+    #[cfg(target_arch = "x86_64")]
+    if use_avx512 && std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: avx512f was just detected.
+        return unsafe { dual_sweep_avx512(scratch, width, beta2, x0, x1) };
+    }
+    let _ = use_avx512;
+    dual_sweep_scalar(scratch, width, beta2, x0, x1)
+}
+
+/// Dual sweep, portable form: `w = Aᵀ(y − A·x)` per lane, fused rowwise
+/// in `nnls2`'s exact order (`acc` starts at `+0.0`, so a `-0.0`
+/// product still yields `+0.0`), with each row rebuilt by
+/// [`build_row`] instead of read back from a stored copy.
+fn dual_sweep_scalar(
+    scratch: &BatchScratch,
+    width: usize,
+    beta2: &[f64; LANES],
+    x0: &[f64; LANES],
+    x1: &[f64; LANES],
+) -> ([f64; LANES], [f64; LANES]) {
+    let mut w0 = [0.0_f64; LANES];
+    let mut w1 = [0.0_f64; LANES];
+    for (ks, ls) in scratch.ks[..width]
+        .chunks_exact(LANES)
+        .zip(scratch.ls[..width].chunks_exact(LANES))
+    {
+        let ks: &[f64; LANES] = ks.try_into().expect("exact chunk");
+        let ls: &[f64; LANES] = ls.try_into().expect("exact chunk");
+        for j in 0..LANES {
+            let (r0, r1, y, _) = build_row(ks[j], ls[j], beta2[j]);
+            let mut acc = 0.0;
+            acc += r0 * x0[j];
+            acc += r1 * x1[j];
+            let resid = y - acc;
+            w0[j] += r0 * resid;
+            w1[j] += r1 * resid;
+        }
+    }
+    (w0, w1)
+}
+
+/// Dual sweep with explicit AVX-512 intrinsics: `dual_sweep_scalar`'s
+/// dataflow op for op, rows rebuilt as in `pass_a_avx512` (same
+/// bit-identity argument; `acc` is an explicit `+0.0 + r0·x0`).
+///
+/// # Safety
+///
+/// The CPU must support avx512f.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn dual_sweep_avx512(
+    scratch: &BatchScratch,
+    width: usize,
+    beta2: &[f64; LANES],
+    x0: &[f64; LANES],
+    x1: &[f64; LANES],
+) -> ([f64; LANES], [f64; LANES]) {
+    use std::arch::x86_64::*;
+    assert!(width.is_multiple_of(LANES));
+    assert!(scratch.ks.len() >= width && scratch.ls.len() >= width);
+    // SAFETY: as in `pass_a_avx512` — asserted above, `ks`/`ls` hold at
+    // least `width` elements and `width` is a multiple of one zmm's 8
+    // lanes.
+    unsafe {
+        let b2 = _mm512_loadu_pd(beta2.as_ptr());
+        let xv0 = _mm512_loadu_pd(x0.as_ptr());
+        let xv1 = _mm512_loadu_pd(x1.as_ptr());
+        let eps = _mm512_set1_pd(1e-9);
+        let zero = _mm512_setzero_pd();
+        let mut w0 = _mm512_setzero_pd();
+        let mut w1 = _mm512_setzero_pd();
+        let ks_p = scratch.ks.as_ptr();
+        let ls_p = scratch.ls.as_ptr();
+        let mut off = 0;
+        while off < width {
+            let ks = _mm512_loadu_pd(ks_p.add(off));
+            let ls = _mm512_loadu_pd(ls_p.add(off));
+            let gap = _mm512_sub_pd(ls, b2);
+            let m: __mmask8 = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(gap, eps);
+            let w = _mm512_mul_pd(gap, gap);
+            let r0 = _mm512_maskz_mov_pd(m, _mm512_mul_pd(w, ks));
+            let r1 = _mm512_maskz_mov_pd(m, w);
+            let y = _mm512_maskz_mov_pd(m, gap);
+            let acc = _mm512_add_pd(zero, _mm512_mul_pd(r0, xv0));
+            let acc = _mm512_add_pd(acc, _mm512_mul_pd(r1, xv1));
+            let resid = _mm512_sub_pd(y, acc);
+            w0 = _mm512_add_pd(w0, _mm512_mul_pd(r0, resid));
+            w1 = _mm512_add_pd(w1, _mm512_mul_pd(r1, resid));
+            off += LANES;
+        }
+        let mut out0 = [0.0_f64; LANES];
+        let mut out1 = [0.0_f64; LANES];
+        _mm512_storeu_pd(out0.as_mut_ptr(), w0);
+        _mm512_storeu_pd(out1.as_mut_ptr(), w1);
+        (out0, out1)
+    }
+}
+
 /// Executes one wave of β₂ candidate evaluations as SoA passes:
-/// build + Gram, lockstep NNLS duals, residual accumulation.
+/// Gram/RHS, lockstep NNLS duals, residual accumulation.
 ///
 /// Dispatches to an AVX-512 compilation of the same body when the CPU
 /// has it — with eight f64 lanes the accumulator arrays want the wider
@@ -831,7 +924,7 @@ unsafe fn pass_a_avx512(scratch: &mut BatchScratch, width: usize, beta2: &[f64; 
 /// performs no FMA contraction), so results are bit-identical across
 /// targets.
 fn eval_wave(
-    scratch: &mut BatchScratch,
+    scratch: &BatchScratch,
     max_len: usize,
     lens: &[usize; LANES],
     reqs: &[Option<EvalReq>; LANES],
@@ -848,10 +941,14 @@ fn eval_wave(
 /// The wave body compiled with AVX-512 codegen enabled (the
 /// `inline(always)` body is compiled with this function's target
 /// features).
+///
+/// # Safety
+///
+/// The CPU must support avx512f.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn eval_wave_avx512(
-    scratch: &mut BatchScratch,
+    scratch: &BatchScratch,
     max_len: usize,
     lens: &[usize; LANES],
     reqs: &[Option<EvalReq>; LANES],
@@ -862,7 +959,7 @@ unsafe fn eval_wave_avx512(
 
 #[inline(always)]
 fn eval_wave_body(
-    scratch: &mut BatchScratch,
+    scratch: &BatchScratch,
     max_len: usize,
     lens: &[usize; LANES],
     reqs: &[Option<EvalReq>; LANES],
@@ -878,24 +975,11 @@ fn eval_wave_body(
         }
     }
 
-    // Pass A — regression rows + Gram/RHS, one sweep over all samples
-    // (see `pass_a_scalar` / `pass_a_avx512`). Inactive lanes compute
-    // garbage rows against β₂ = 0 that nothing reads; padded slots take
-    // the gap ≤ 1e-9 skip (see module docs).
+    // Pass A — Gram/RHS, one sweep over all samples (see
+    // `pass_a_scalar` / `pass_a_avx512`). Inactive lanes accumulate
+    // garbage against β₂ = 0 that nothing reads; padded slots take the
+    // gap ≤ 1e-9 skip (see module docs).
     let width = max_len * LANES;
-    #[cfg(target_arch = "x86_64")]
-    let pa = if use_avx512 {
-        // SAFETY: `use_avx512` is only set by `eval_wave` after a
-        // runtime avx512f check; the scratch rows hold `width` elements.
-        unsafe { pass_a_avx512(scratch, width, &beta2) }
-    } else {
-        pass_a_scalar(scratch, width, &beta2)
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let pa = {
-        let _ = use_avx512;
-        pass_a_scalar(scratch, width, &beta2)
-    };
     let PassA {
         kept,
         bad,
@@ -904,7 +988,7 @@ fn eval_wave_body(
         g11,
         rhs0,
         rhs1,
-    } = pa;
+    } = pass_a(scratch, width, &beta2, use_avx512);
 
     // Per-lane NNLS admission, with the scalar path's exact telemetry:
     // fewer than 2 rows fails silently (before any counter), a
@@ -932,44 +1016,24 @@ fn eval_wave_body(
     }
 
     // Pass B — lockstep Lawson–Hanson: one vectorized dual sweep per
-    // outer iteration, then O(1) per-lane active-set advancement from
-    // the cached Gram. Lanes that converge (or fail) sit out the
-    // remaining sweeps with x frozen, contributing dead work only.
+    // outer iteration (rows rebuilt from `ks`/`ls`, see `build_row`),
+    // then O(1) per-lane active-set advancement from the cached Gram.
+    // Lanes that converge (or fail) sit out the remaining sweeps with x
+    // frozen, contributing dead work only.
     let mut x0 = [0.0_f64; LANES];
     let mut x1 = [0.0_f64; LANES];
     let mut first_sweep = true;
     while st.iter().any(|l| l.running) {
-        let mut w0 = [0.0_f64; LANES];
-        let mut w1 = [0.0_f64; LANES];
-        if first_sweep {
+        let (w0, w1) = if first_sweep {
             // With x = 0 the fused rowwise dual degenerates term by
             // term to the RHS accumulation pass A already did —
             // `acc = r·0 + r·0 = +0.0`, `resid = y − 0.0 = y` bitwise —
             // so the first sweep of every wave is free.
             first_sweep = false;
-            w0 = rhs0;
-            w1 = rhs1;
+            (rhs0, rhs1)
         } else {
-            for (row0, (row1, yv)) in scratch.row0[..width].chunks_exact(LANES).zip(
-                scratch.row1[..width]
-                    .chunks_exact(LANES)
-                    .zip(scratch.yv[..width].chunks_exact(LANES)),
-            ) {
-                let row0: &[f64; LANES] = row0.try_into().expect("exact chunk");
-                let row1: &[f64; LANES] = row1.try_into().expect("exact chunk");
-                let yv: &[f64; LANES] = yv.try_into().expect("exact chunk");
-                for j in 0..LANES {
-                    let r0 = row0[j];
-                    let r1 = row1[j];
-                    let mut acc = 0.0;
-                    acc += r0 * x0[j];
-                    acc += r1 * x1[j];
-                    let resid = yv[j] - acc;
-                    w0[j] += r0 * resid;
-                    w1[j] += r1 * resid;
-                }
-            }
-        }
+            dual_sweep(scratch, width, &beta2, &x0, &x1, use_avx512)
+        };
         for j in 0..LANES {
             if st[j].running {
                 advance_lane(
@@ -1199,10 +1263,201 @@ fn advance_lane(
         if failed {
             break;
         }
-        // x changed (or P emptied): a fresh dual sweep is needed before
-        // the next entering-column scan.
+        // x changed (or P emptied). If every column is passive or
+        // rejected, the next entering-column scan cannot pick anything
+        // whatever the dual is, so `nnls2`'s final recompute-and-scan
+        // would only confirm convergence: skip its sweep. Otherwise a
+        // fresh dual sweep is needed before the next scan.
+        if st.passive.iter().zip(&st.rejected).all(|(&p, &r)| p || r) {
+            st.running = false; // converged: no column can enter
+        }
         break;
     }
     *x0 = x[0];
     *x1 = x[1];
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Comparable image of one lane's wave outcome: tag + every f64's bits.
+    fn key(out: &WaveOut) -> (u8, [u64; 5]) {
+        match *out {
+            WaveOut::Fit(m) => (
+                0,
+                [m.beta0, m.beta1, m.beta2, m.scale, m.residual_ss].map(f64::to_bits),
+            ),
+            WaveOut::Abandoned => (1, [0; 5]),
+            WaveOut::Failed => (2, [0; 5]),
+        }
+    }
+
+    /// Per-lane sample histories: ragged lengths (one lane empty, so all
+    /// of its slots are padding), curves whose NNLS solutions take two
+    /// columns, one column (rising and flat curves), and one lane whose
+    /// rows overflow.
+    fn lane_histories() -> Vec<Vec<(f64, f64)>> {
+        let curve = |n: usize, b0: f64, b1: f64, b2: f64| -> Vec<(f64, f64)> {
+            (0..n)
+                .map(|k| (k as f64, 1.0 / (b0 * k as f64 + b1) + b2))
+                .collect()
+        };
+        let mut wobbly = curve(57, 0.3, 1.1, 0.4);
+        for (s, (_, l)) in wobbly.iter_mut().enumerate() {
+            *l *= 1.0 + 0.01 * ((s * 7919 % 13) as f64 - 6.0);
+        }
+        vec![
+            curve(200, 0.05, 1.0, 0.2),
+            curve(5, 0.8, 2.0, 0.05),
+            wobbly,
+            (0..90).map(|k| (k as f64, 1.0 + 0.01 * k as f64)).collect(),
+            (0..40).map(|k| (k as f64, 0.7)).collect(),
+            vec![],
+            (0..12)
+                .map(|k| (k as f64, if k == 6 { 1e200 } else { 2.0 }))
+                .collect(),
+            curve(131, 1e-9, 1.0, 0.3),
+        ]
+    }
+
+    /// `lane_histories` gathered into lane-major scratch, with each
+    /// lane's length and grid top `hi`.
+    fn gathered() -> (BatchScratch, usize, [usize; LANES], [f64; LANES]) {
+        let hists = lane_histories();
+        let mut scratch = BatchScratch::new();
+        let max_len = hists.iter().map(Vec::len).max().unwrap_or(0);
+        scratch.ks.resize(max_len * LANES, 0.0);
+        scratch.ls.resize(max_len * LANES, 0.0);
+        let mut lens = [0usize; LANES];
+        let mut his = [0.0_f64; LANES];
+        for (j, h) in hists.iter().enumerate() {
+            lens[j] = h.len();
+            let min = h.iter().map(|&(_, l)| l).fold(f64::INFINITY, f64::min);
+            his[j] = if min.is_finite() {
+                (min - 1e-9).max(0.0)
+            } else {
+                0.0
+            };
+            for (s, &(k, l)) in h.iter().enumerate() {
+                scratch.ks[s * LANES + j] = k;
+                scratch.ls[s * LANES + j] = l;
+            }
+        }
+        (scratch, max_len, lens, his)
+    }
+
+    /// One form of the wave kernel, as `eval_wave` would call it.
+    type WaveFn = dyn Fn(
+        &BatchScratch,
+        usize,
+        &[usize; LANES],
+        &[Option<EvalReq>; LANES],
+        &[LaneFit<'_>],
+    ) -> [WaveOut; LANES];
+
+    /// Runs one wave per `(multiplier, bound)` setting through `run`
+    /// and returns every outcome plus the telemetry it recorded. Lane
+    /// `j` evaluates `β₂ = multiplier · hiⱼ`; lanes listed in `inactive`
+    /// sit the wave out.
+    fn waves(run: &WaveFn) -> (Vec<(u8, [u64; 5])>, optimus_telemetry::TelemetrySummary) {
+        let (scratch, max_len, lens, his) = gathered();
+        let tel = Telemetry::enabled();
+        let fitter = LossCurveFitter::new().with_telemetry(tel.clone());
+        let mut memos: Vec<Vec<(u64, Option<LossModel>)>> = vec![Vec::new(); LANES];
+        let mut warm: Vec<Option<usize>> = vec![None; LANES];
+        let lanes: Vec<LaneFit<'_>> = memos
+            .iter_mut()
+            .zip(warm.iter_mut())
+            .map(|(memo, slot)| LaneFit::new(&fitter, memo, slot, 0.0, 1.5, None))
+            .collect();
+
+        let settings: [(f64, f64, &[usize]); 5] = [
+            (0.0, f64::INFINITY, &[]),
+            (0.5, f64::INFINITY, &[2]),
+            (0.97, f64::INFINITY, &[0, 4]),
+            (0.3, 1e-12, &[1]), // tiny bound: fitted lanes abandon
+            (1.0, f64::INFINITY, &[7]),
+        ];
+        let mut outs = Vec::new();
+        for (mult, bound, inactive) in settings {
+            let reqs: [Option<EvalReq>; LANES] = std::array::from_fn(|j| {
+                (!inactive.contains(&j)).then_some(EvalReq {
+                    beta2: mult * his[j],
+                    bound,
+                })
+            });
+            outs.extend(run(&scratch, max_len, &lens, &reqs, &lanes).iter().map(key));
+        }
+        (outs, tel.summary())
+    }
+
+    /// The portable passes (`eval_wave_body(.., false)`) and the AVX-512
+    /// passes (`eval_wave_avx512`, i.e. `eval_wave_body(.., true)` under
+    /// the AVX-512 codegen production uses) must agree bit for bit on
+    /// outcomes, solutions and counters. Without avx512f only the
+    /// portable form runs; the outcome-kind coverage check holds anyway.
+    #[test]
+    fn portable_and_avx512_waves_are_bit_identical() {
+        let (portable, portable_tel) =
+            waves(&|s, n, lens, reqs, lanes| eval_wave_body(s, n, lens, reqs, lanes, false));
+        for tag in 0..3 {
+            assert!(
+                portable.iter().any(|&(t, _)| t == tag),
+                "waves never produced outcome kind {tag}"
+            );
+        }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: avx512f was just detected.
+            let (simd, simd_tel) = waves(&|s, n, lens, reqs, lanes| unsafe {
+                eval_wave_avx512(s, n, lens, reqs, lanes)
+            });
+            assert_eq!(portable, simd, "wave outcomes diverged");
+            assert_eq!(portable_tel, simd_tel, "wave telemetry diverged");
+        }
+    }
+
+    /// Pass A and the dual sweep compared directly, portable vs
+    /// AVX-512, on every f64 they return — the wave-level test sees the
+    /// dual only through the active-set decisions it drives.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn portable_and_avx512_passes_are_bit_identical() {
+        if !std::arch::is_x86_feature_detected!("avx512f") {
+            return;
+        }
+        let (scratch, max_len, _, his) = gathered();
+        let width = max_len * LANES;
+        let bits = |v: [f64; LANES]| v.map(f64::to_bits);
+        let xs: [([f64; LANES], [f64; LANES]); 3] = [
+            ([-0.0; LANES], [0.0; LANES]),
+            ([0.05; LANES], [1.0; LANES]),
+            (
+                std::array::from_fn(|j| 1e-3 * j as f64),
+                std::array::from_fn(|j| 0.5 + j as f64),
+            ),
+        ];
+        for mult in [0.0, 0.3, 0.97, 1.0] {
+            let beta2: [f64; LANES] = std::array::from_fn(|j| mult * his[j]);
+            let p = pass_a(&scratch, width, &beta2, false);
+            let v = pass_a(&scratch, width, &beta2, true);
+            assert_eq!((p.kept, p.bad), (v.kept, v.bad), "admission at {mult}");
+            for (a, b) in [
+                (p.g00, v.g00),
+                (p.g01, v.g01),
+                (p.g11, v.g11),
+                (p.rhs0, v.rhs0),
+                (p.rhs1, v.rhs1),
+            ] {
+                assert_eq!(bits(a), bits(b), "pass A at {mult}");
+            }
+            for (x0, x1) in &xs {
+                let (p0, p1) = dual_sweep(&scratch, width, &beta2, x0, x1, false);
+                let (v0, v1) = dual_sweep(&scratch, width, &beta2, x0, x1, true);
+                assert_eq!(bits(p0), bits(v0), "dual w0 at {mult}");
+                assert_eq!(bits(p1), bits(v1), "dual w1 at {mult}");
+            }
+        }
+    }
 }

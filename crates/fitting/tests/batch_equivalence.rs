@@ -255,3 +255,127 @@ fn batched_telemetry_matches_scalar() {
         "telemetry summaries diverged"
     );
 }
+
+/// A history from one of the families whose NNLS solves leave the
+/// two-column path: exactly constant curves (β₀ → 0; unnormalized, some
+/// entering columns are rejected), curves flat up to 1e-6 noise, curves
+/// with a negligible β₀, rising curves (the β₀ column enters and is
+/// driven back out), and curves that reach their floor early and sit on
+/// it, so β₂ candidates near the floor keep only the early rows.
+fn family_history(family: usize, seed: u64, n: usize) -> Vec<LossSample> {
+    let mut state = seed | 1;
+    let level = 0.05 + next_unit(&mut state) * 20.0;
+    let slope = 0.001 + next_unit(&mut state) * 0.05;
+    let knee = 2 + (next_unit(&mut state) * 12.0) as usize;
+    (0..n)
+        .map(|k| {
+            let kf = k as f64;
+            let l = match family {
+                0 => level,
+                1 => level * (1.0 + (next_unit(&mut state) - 0.5) * 1e-6),
+                2 => 1.0 / (1e-9 * slope * kf + 1.0) + level,
+                3 => level * (1.0 + slope * kf),
+                _ => level * (1.0 + (knee as f64 - kf).max(0.0) * slope),
+            };
+            (k as u64, l)
+        })
+        .collect()
+}
+
+/// Fits `raws` at growing prefixes through scalar and batched sessions,
+/// comparing every outcome and, at the end, the telemetry summaries.
+fn assert_batched_matches_scalar(raws: &[Vec<LossSample>], base: &LossCurveFitter, ctx: &str) {
+    use optimus_telemetry::Telemetry;
+    let scalar_tel = Telemetry::enabled();
+    let batch_tel = Telemetry::enabled();
+    let scalar_fitter = base.clone().with_telemetry(scalar_tel.clone());
+    let batch_fitter = base.clone().with_telemetry(batch_tel.clone());
+    let n = raws.len();
+    let mut scalar_sessions: Vec<FitSession> = (0..n).map(|_| FitSession::new()).collect();
+    let mut batch_sessions: Vec<FitSession> = (0..n).map(|_| FitSession::new()).collect();
+    let mut scratch = BatchScratch::new();
+    let mut prev = vec![0usize; n];
+    for (round, frac) in [0.25, 0.6, 1.0].into_iter().enumerate() {
+        let lens: Vec<usize> = raws
+            .iter()
+            .map(|r| ((r.len() as f64 * frac) as usize).min(r.len()))
+            .collect();
+        let scalar: Vec<Result<LossModel, FitError>> = (0..n)
+            .map(|i| {
+                scalar_fitter.fit_incremental(&raws[i][..lens[i]], prev[i], &mut scalar_sessions[i])
+            })
+            .collect();
+        let mut jobs: Vec<BatchFitJob<'_>> = raws
+            .iter()
+            .zip(batch_sessions.iter_mut())
+            .enumerate()
+            .map(|(i, (raw, session))| BatchFitJob {
+                fitter: &batch_fitter,
+                raw: &raw[..lens[i]],
+                stable_prefix: prev[i],
+                session,
+            })
+            .collect();
+        let mut batched = Vec::new();
+        fit_batch(&mut jobs, &mut scratch, &mut batched);
+        for (i, (r, f)) in scalar.iter().zip(batched.iter()).enumerate() {
+            assert_same_outcome(r, f, &format!("{ctx} job {i} round {round}"));
+        }
+        prev = lens;
+    }
+    assert_eq!(
+        scalar_tel.summary(),
+        batch_tel.summary(),
+        "telemetry diverged {ctx}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One-column NNLS solutions and rejected entering columns, mixed
+    /// with ordinary curves in ragged groups: after `x` changes, the
+    /// batched solver skips the final dual sweep exactly when every
+    /// column is passive or rejected, and must sweep otherwise — both
+    /// outcomes are exercised here against `fit_incremental`.
+    #[test]
+    fn single_column_and_rejected_solves_match_scalar(
+        seed in any::<u64>(),
+        njobs in 1usize..(2 * LANES),
+        normalize in any::<bool>(),
+    ) {
+        let mut state = seed | 1;
+        let raws: Vec<Vec<LossSample>> = (0..njobs)
+            .map(|i| {
+                let n = 3 + (next_unit(&mut state) * 150.0) as usize;
+                let pick = (next_unit(&mut state) * 6.0) as usize;
+                let job_seed = seed.wrapping_add(i as u64 * 104_729);
+                if pick == 5 {
+                    history(job_seed, n)
+                } else {
+                    family_history(pick, job_seed, n)
+                }
+            })
+            .collect();
+        let mut fitter = LossCurveFitter::new();
+        if !normalize {
+            fitter = fitter.without_normalization();
+        }
+        assert_batched_matches_scalar(&raws, &fitter, &format!("(seed {seed})"));
+    }
+}
+
+/// Every family in one deterministic batch, so each run covers them all.
+#[test]
+fn every_single_column_family_matches_scalar() {
+    let raws: Vec<Vec<LossSample>> = (0..5)
+        .flat_map(|family| [(family, 11, 24), (family, 29, 97)])
+        .map(|(family, seed, n)| family_history(family, seed, n))
+        .collect();
+    for fitter in [
+        LossCurveFitter::new(),
+        LossCurveFitter::new().without_normalization(),
+    ] {
+        assert_batched_matches_scalar(&raws, &fitter, "every family");
+    }
+}

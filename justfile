@@ -38,7 +38,9 @@ bench-alloc:
 
 # Prove the optimized paths byte-identical to the naive reference
 # implementations (property-based): allocator/placer, the incremental
-# warm-started convergence fitter, the batched SoA fit engine, and the
+# warm-started convergence fitter, the batched SoA fit engine (plus its
+# in-crate unit tests under release codegen, which pit the portable
+# wave passes against the AVX-512 ones bit for bit), and the
 # simulator. The simulator suite runs four ways — under the
 # discrete-event engine (the default), forced to the legacy tick loop,
 # with the batched refit engine disabled, and with delta rounds
@@ -48,6 +50,7 @@ bench-alloc:
 equivalence:
     cargo test --release -p optimus-core --test equivalence
     cargo test --release -p optimus-fitting --test equivalence
+    cargo test --release -p optimus-fitting --lib
     cargo test --release -p optimus-fitting --test batch_equivalence
     cargo test --release -p optimus-simulator --test equivalence
     OPTIMUS_EVENT_ENGINE=0 cargo test --release -p optimus-simulator --test equivalence

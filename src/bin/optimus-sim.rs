@@ -36,6 +36,7 @@ FLAGS:
   --scheduler NAME  scheduler under test             (default optimus)
   --target-hours H  median target job duration       (default 2.0)
   --interval SECS   scheduling interval              (default 600)
+                    (both must be positive and finite; otherwise exit 2)
   --trace-in FILE   simulate a saved workload trace instead of generating
   --trace-out FILE  also save the generated workload as a trace
   --events          record and print the decision log
@@ -103,7 +104,25 @@ impl<'a> Flags<'a> {
                 .map_err(|_| format!("invalid value for {name}: {raw}")),
         }
     }
+
+    /// Rejects a [`POSITIVE_FLAGS`] value that is not a positive finite
+    /// number — a usage error (exit 2), reported before any work starts
+    /// rather than silently simulating a meaningless run.
+    fn check_positive(&self) -> Result<(), ExitCode> {
+        for name in POSITIVE_FLAGS {
+            if let Some(raw) = self.get(name) {
+                if !raw.parse::<f64>().is_ok_and(|v| v.is_finite() && v > 0.0) {
+                    eprintln!("error: {name} must be a positive finite number, got {raw}");
+                    return Err(ExitCode::from(2));
+                }
+            }
+        }
+        Ok(())
+    }
 }
+
+/// Flags that only make sense as positive finite numbers.
+const POSITIVE_FLAGS: [&str; 2] = ["--target-hours", "--interval"];
 
 fn build_workload(flags: &Flags) -> Result<Vec<JobSpec>, String> {
     if let Some(path) = flags.get("--trace-in") {
@@ -127,6 +146,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let flags = Flags { args };
+    if let Err(code) = flags.check_positive() {
+        return code;
+    }
     let run = || -> Result<(), String> {
         let jobs = build_workload(&flags)?;
         if let Some(path) = flags.get("--trace-out") {
@@ -318,6 +340,9 @@ fn cmd_batch(args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let flags = Flags { args };
+    if let Err(code) = flags.check_positive() {
+        return code;
+    }
     let run = || -> Result<(), String> {
         let jobs: usize = flags.parse("--jobs", 9)?;
         let hours: f64 = flags.parse("--target-hours", 2.0)?;
@@ -382,6 +407,9 @@ fn cmd_batch(args: &[String]) -> ExitCode {
 
 fn cmd_generate(args: &[String]) -> ExitCode {
     let flags = Flags { args };
+    if let Err(code) = flags.check_positive() {
+        return code;
+    }
     match build_workload(&flags) {
         Ok(jobs) => {
             let trace = WorkloadTrace::new("generated by optimus-sim generate", jobs);
