@@ -14,7 +14,7 @@
 //! * **synchronous** (Eqn 4): `f(p,w) = (θ₀·M/w + θ₁ + θ₂·w/p + θ₃·w +
 //!   θ₄·p)⁻¹` → regress `1/f` on `[M/w, 1, w/p, w, p]`.
 
-use optimus_fitting::{FitError, LinearModel, NonNegLinearFit};
+use optimus_fitting::{FitError, LinearModel, Matrix, NonNegLinearFit};
 use optimus_telemetry::Telemetry;
 use optimus_workload::TrainingMode;
 use serde::{Deserialize, Serialize};
@@ -156,21 +156,20 @@ impl SpeedModel {
     /// reaches the coefficient count; the previous model (if any)
     /// survives a failed refit.
     pub fn refit(&mut self) -> Result<(), FitError> {
-        let rows: Vec<Vec<f64>> = self
-            .samples
-            .iter()
-            .map(|s| self.features(s.p, s.w))
-            .collect();
-        let targets: Vec<f64> = self
-            .samples
-            .iter()
-            .map(|s| match self.mode {
+        let width = self.num_coefficients();
+        let mut design = Vec::with_capacity(self.samples.len() * width);
+        let mut targets = Vec::with_capacity(self.samples.len());
+        for s in &self.samples {
+            let (row, n) = self.feature_row(s.p, s.w);
+            design.extend_from_slice(&row[..n]);
+            targets.push(match self.mode {
                 TrainingMode::Asynchronous => s.w as f64 / s.speed,
                 TrainingMode::Synchronous => 1.0 / s.speed,
-            })
-            .collect();
+            });
+        }
         self.tel.incr("speed.refits");
-        let fitted = NonNegLinearFit.fit_rows_traced(&rows, &targets, &self.tel)?;
+        let design = Matrix::from_vec(targets.len(), width, design)?;
+        let fitted = NonNegLinearFit.fit_matrix_traced(&design, &targets, &self.tel)?;
         self.model = Some(fitted);
         self.gen += 1;
         Ok(())
@@ -220,15 +219,9 @@ impl SpeedModel {
         (raw * self.prediction_scale).max(0.0)
     }
 
-    /// The feature row for a configuration (heap-allocating; used by the
-    /// occasional refit — predictions use [`Self::feature_row`]).
-    fn features(&self, p: u32, w: u32) -> Vec<f64> {
-        let (row, n) = self.feature_row(p, w);
-        row[..n].to_vec()
-    }
-
     /// The feature row on the stack: `predict` sits on the allocator's
-    /// per-candidate hot path, where a `Vec` per call is measurable.
+    /// per-candidate hot path, where a `Vec` per call is measurable, and
+    /// `refit` copies these rows straight into its design buffer.
     #[inline]
     fn feature_row(&self, p: u32, w: u32) -> ([f64; 5], usize) {
         let pf = p as f64;

@@ -525,3 +525,156 @@ fn contended_clusters_fall_back_to_the_full_path() {
     assert_eq!(out.allocations(), fresh.allocations());
     assert_eq!(out.placements(), fresh.placements());
 }
+
+/// The row-vector formulation `SpeedModel::refit` replaced: one heap
+/// `Vec` per sample, the Eqn 3/4 feature maps written out directly,
+/// solved by `NonNegLinearFit::fit_rows_traced`. Mirrors `record`'s
+/// filter and the FIFO window with its protected profiling prefix.
+struct RowOracle {
+    mode: TrainingMode,
+    batch: f64,
+    samples: Vec<(u32, u32, f64)>,
+    window: Option<usize>,
+    protected: usize,
+    gen: u64,
+    model: Option<optimus_fitting::LinearModel>,
+    tel: optimus_telemetry::Telemetry,
+}
+
+impl RowOracle {
+    fn record(&mut self, p: u32, w: u32, speed: f64) {
+        if p == 0 || w == 0 || !speed.is_finite() || speed <= 0.0 {
+            return;
+        }
+        self.samples.push((p, w, speed));
+        self.gen += 1;
+        if let Some(window) = self.window {
+            while self.samples.len() > self.protected + window {
+                self.samples.remove(self.protected);
+            }
+        }
+    }
+
+    fn refit(&mut self) -> Result<(), optimus_fitting::FitError> {
+        let rows: Vec<Vec<f64>> = self
+            .samples
+            .iter()
+            .map(|&(p, w, _)| {
+                let (p, w) = (p as f64, w as f64);
+                match self.mode {
+                    TrainingMode::Asynchronous => vec![1.0, w / p, w, p],
+                    TrainingMode::Synchronous => vec![self.batch / w, 1.0, w / p, w, p],
+                }
+            })
+            .collect();
+        let targets: Vec<f64> = self
+            .samples
+            .iter()
+            .map(|&(_, w, speed)| match self.mode {
+                TrainingMode::Asynchronous => w as f64 / speed,
+                TrainingMode::Synchronous => 1.0 / speed,
+            })
+            .collect();
+        self.tel.incr("speed.refits");
+        let fitted =
+            optimus_fitting::NonNegLinearFit.fit_rows_traced(&rows, &targets, &self.tel)?;
+        self.model = Some(fitted);
+        self.gen += 1;
+        Ok(())
+    }
+}
+
+/// One `(p, w, speed)` observation: `speed_kind` picks a positive
+/// speed most of the time, else one of the values `record` must ignore.
+fn observed_speed(speed_kind: u32, magnitude: f64) -> f64 {
+    match speed_kind {
+        0 => 0.0,
+        1 => -magnitude,
+        2 => f64::NAN,
+        3 => f64::INFINITY,
+        _ => magnitude,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `SpeedModel::refit` (one row-major design buffer through
+    /// `NonNegLinearFit::fit_matrix_traced`) is bit-identical to the
+    /// `Vec<Vec<f64>>` row formulation after every refit: coefficients,
+    /// residual, error, generation and the `speed.refits`/`nnls.*`
+    /// telemetry, in both training modes, with repeated configurations,
+    /// ignored samples and an evicting sample window.
+    #[test]
+    fn speed_model_refit_matches_row_oracle(
+        sync in any::<bool>(),
+        batch in 16u32..512,
+        window in 0usize..6,
+        profile in prop::collection::vec((0u32..5, 0u32..5, 0u32..12, 0.05f64..40.0), 0..8),
+        online in prop::collection::vec(
+            ((0u32..5, 0u32..5, 0u32..12, 0.05f64..40.0), any::<bool>()),
+            0..40,
+        ),
+    ) {
+        let mode = if sync { TrainingMode::Synchronous } else { TrainingMode::Asynchronous };
+        let tel = optimus_telemetry::Telemetry::enabled();
+        let mut model = SpeedModel::new(mode, batch as f64).with_telemetry(tel.clone());
+        let mut oracle = RowOracle {
+            mode,
+            batch: batch as f64,
+            samples: Vec::new(),
+            window: None,
+            protected: 0,
+            gen: 0,
+            model: None,
+            tel: optimus_telemetry::Telemetry::enabled(),
+        };
+        for &(p, w, kind, mag) in &profile {
+            model.record(p, w, observed_speed(kind, mag));
+            oracle.record(p, w, observed_speed(kind, mag));
+        }
+        // Window 0 means none.
+        if window > 0 {
+            model = model.with_sample_window(window);
+            oracle.window = Some(window);
+            oracle.protected = oracle.samples.len();
+        }
+        let mut steps: Vec<_> = online.iter().map(|&(s, refit)| (Some(s), refit)).collect();
+        steps.push((None, true));
+        for (i, (sample, refit)) in steps.into_iter().enumerate() {
+            if let Some((p, w, kind, mag)) = sample {
+                model.record(p, w, observed_speed(kind, mag));
+                oracle.record(p, w, observed_speed(kind, mag));
+            }
+            prop_assert_eq!(model.sample_count(), oracle.samples.len(), "step {}", i);
+            if !refit {
+                continue;
+            }
+            prop_assert_eq!(model.refit(), oracle.refit(), "refit result at step {}", i);
+            prop_assert_eq!(model.generation(), oracle.gen, "generation at step {}", i);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (theta, rss) = oracle
+                .model
+                .as_ref()
+                .map_or((&[][..], None), |m| (m.theta.as_slice(), Some(m.residual_ss)));
+            prop_assert_eq!(bits(model.coefficients()), bits(theta), "theta at step {}", i);
+            prop_assert_eq!(
+                model.residual_ss().map(f64::to_bits),
+                rss.map(f64::to_bits),
+                "residual at step {}",
+                i
+            );
+        }
+        for key in ["speed.refits", "nnls.solves", "nnls.fit_failures"] {
+            prop_assert_eq!(tel.counter(key), oracle.tel.counter(key), "counter {}", key);
+        }
+        let iterations = |t: &optimus_telemetry::Telemetry| {
+            t.summary()
+                .histograms
+                .into_iter()
+                .find(|h| h.name == "nnls.iterations")
+                .map(|h| (h.count, h.sum.to_bits()))
+        };
+        prop_assert_eq!(iterations(&tel), iterations(&oracle.tel), "nnls.iterations");
+    }
+}

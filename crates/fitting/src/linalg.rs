@@ -142,27 +142,6 @@ impl Matrix {
         t
     }
 
-    /// Computes the matrix-vector product `A·x`.
-    ///
-    /// Returns [`FitError::DimensionMismatch`] if `x.len() != cols`.
-    pub fn mul_vec(&self, x: &[f64]) -> Result<Vec<f64>, FitError> {
-        if x.len() != self.cols {
-            return Err(FitError::DimensionMismatch {
-                context: "mul_vec: vector length != cols",
-            });
-        }
-        let mut out = vec![0.0; self.rows];
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = self.row(r);
-            let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x.iter()) {
-                acc += a * b;
-            }
-            *o = acc;
-        }
-        Ok(out)
-    }
-
     /// Computes `Aᵀ·y` without materializing the transpose.
     ///
     /// Returns [`FitError::DimensionMismatch`] if `y.len() != rows`.
@@ -173,19 +152,36 @@ impl Matrix {
             });
         }
         let mut out = vec![0.0; self.cols];
+        self.tr_mul_vec_into(y, &mut out);
+        Ok(out)
+    }
+
+    /// [`Matrix::tr_mul_vec`] into a caller-provided `out` (length
+    /// `cols`, overwritten); `y.len()` must equal `rows`.
+    pub(crate) fn tr_mul_vec_into(&self, y: &[f64], out: &mut [f64]) {
+        out.fill(0.0);
         for (r, &yr) in y.iter().enumerate() {
             let row = self.row(r);
             for (o, a) in out.iter_mut().zip(row.iter()) {
                 *o += a * yr;
             }
         }
-        Ok(out)
     }
 
     /// Computes the Gram matrix `AᵀA`.
     pub fn gram(&self) -> Matrix {
+        let mut g = Matrix::zeros(self.cols, self.cols);
+        self.gram_into(&mut g.data);
+        g
+    }
+
+    /// [`Matrix::gram`] into a caller-provided row-major `cols × cols`
+    /// buffer (overwritten). Rows accumulate in order into the upper
+    /// triangle, skipping the terms of an exactly-zero `row[i]`, and the
+    /// lower triangle mirrors it.
+    pub(crate) fn gram_into(&self, g: &mut [f64]) {
         let n = self.cols;
-        let mut g = Matrix::zeros(n, n);
+        g.fill(0.0);
         for r in 0..self.rows {
             let row = self.row(r);
             for i in 0..n {
@@ -194,81 +190,15 @@ impl Matrix {
                     continue;
                 }
                 for (j, &rj) in row.iter().enumerate().skip(i) {
-                    let v = g.get(i, j) + ri * rj;
-                    g.set(i, j, v);
+                    g[i * n + j] += ri * rj;
                 }
             }
         }
-        // Mirror the upper triangle.
         for i in 0..n {
             for j in 0..i {
-                g.set(i, j, g.get(j, i));
+                g[i * n + j] = g[j * n + i];
             }
         }
-        g
-    }
-
-    /// Solves the square system `A·x = b` by Gaussian elimination with
-    /// partial pivoting.
-    ///
-    /// Returns [`FitError::SingularSystem`] when a pivot is numerically
-    /// zero, and [`FitError::DimensionMismatch`] for shape errors.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, FitError> {
-        if self.rows != self.cols {
-            return Err(FitError::DimensionMismatch {
-                context: "solve: matrix not square",
-            });
-        }
-        if b.len() != self.rows {
-            return Err(FitError::DimensionMismatch {
-                context: "solve: rhs length != rows",
-            });
-        }
-        let n = self.rows;
-        let mut a = self.data.clone();
-        let mut x = b.to_vec();
-
-        for col in 0..n {
-            // Partial pivoting: find the largest pivot in this column.
-            let mut pivot_row = col;
-            let mut pivot_val = a[col * n + col].abs();
-            for r in (col + 1)..n {
-                let v = a[r * n + col].abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = r;
-                }
-            }
-            if pivot_val < 1e-13 {
-                return Err(FitError::SingularSystem);
-            }
-            if pivot_row != col {
-                for c in 0..n {
-                    a.swap(col * n + c, pivot_row * n + c);
-                }
-                x.swap(col, pivot_row);
-            }
-            let pivot = a[col * n + col];
-            for r in (col + 1)..n {
-                let factor = a[r * n + col] / pivot;
-                if factor == 0.0 {
-                    continue;
-                }
-                for c in col..n {
-                    a[r * n + c] -= factor * a[col * n + c];
-                }
-                x[r] -= factor * x[col];
-            }
-        }
-        // Back substitution.
-        for col in (0..n).rev() {
-            let mut acc = x[col];
-            for c in (col + 1)..n {
-                acc -= a[col * n + c] * x[c];
-            }
-            x[col] = acc / a[col * n + col];
-        }
-        Ok(x)
     }
 
     /// Solves the least-squares problem `min ‖A·x − b‖₂` via the normal
@@ -290,28 +220,146 @@ impl Matrix {
         }
         let g = self.gram();
         let rhs = self.tr_mul_vec(b)?;
-        match g.solve(&rhs) {
-            Ok(x) => Ok(x),
-            Err(FitError::SingularSystem) => {
-                let n = g.cols();
-                let mut trace = 0.0;
-                for i in 0..n {
-                    trace += g.get(i, i);
-                }
-                let lambda = 1e-10 * (trace / n as f64).max(1e-30);
-                let mut ridged = g;
-                for i in 0..n {
-                    let v = ridged.get(i, i) + lambda;
-                    ridged.set(i, i, v);
-                }
-                ridged.solve(&rhs)
+        let mut work = vec![0.0; g.data.len()];
+        let mut x = vec![0.0; rhs.len()];
+        solve_normal_equations(&g.data, &rhs, &mut work, &mut x)?;
+        Ok(x)
+    }
+}
+
+/// Solves the normal equations `G·x = rhs` (`G` row-major `m × m`,
+/// `m = rhs.len()`) by Gaussian elimination, retrying once with a tiny
+/// ridge (λ = 1e-10 · trace/m) when `G` is singular: the retry keeps
+/// online fitting robust when a scheduler feeds duplicated sample
+/// points. `work` (`m²`) is scratch; `x` receives the solution. Shared
+/// by [`Matrix::lstsq`] and the NNLS subproblem solves.
+pub(crate) fn solve_normal_equations(
+    g: &[f64],
+    rhs: &[f64],
+    work: &mut [f64],
+    x: &mut [f64],
+) -> Result<(), FitError> {
+    let m = rhs.len();
+    work.copy_from_slice(g);
+    x.copy_from_slice(rhs);
+    match solve_in_place(work, x) {
+        Err(FitError::SingularSystem) => {
+            let mut trace = 0.0;
+            for i in 0..m {
+                trace += g[i * m + i];
             }
-            Err(e) => Err(e),
+            let lambda = 1e-10 * (trace / m as f64).max(1e-30);
+            work.copy_from_slice(g);
+            for i in 0..m {
+                work[i * m + i] += lambda;
+            }
+            x.copy_from_slice(rhs);
+            solve_in_place(work, x)
         }
+        other => other,
+    }
+}
+
+/// Solves the square row-major system `a·x = rhs` in place by Gaussian
+/// elimination with partial pivoting: `a` (`n × n`, `n = x.len()`) is
+/// destroyed and `x` enters holding `rhs` and leaves holding the
+/// solution.
+///
+/// Returns [`FitError::SingularSystem`] when a pivot is numerically zero.
+fn solve_in_place(a: &mut [f64], x: &mut [f64]) -> Result<(), FitError> {
+    let n = x.len();
+    for col in 0..n {
+        // Partial pivoting: find the largest pivot in this column.
+        let mut pivot_row = col;
+        let mut pivot_val = a[col * n + col].abs();
+        for r in (col + 1)..n {
+            let v = a[r * n + col].abs();
+            if v > pivot_val {
+                pivot_val = v;
+                pivot_row = r;
+            }
+        }
+        if pivot_val < 1e-13 {
+            return Err(FitError::SingularSystem);
+        }
+        if pivot_row != col {
+            for c in 0..n {
+                a.swap(col * n + c, pivot_row * n + c);
+            }
+            x.swap(col, pivot_row);
+        }
+        let pivot = a[col * n + col];
+        for r in (col + 1)..n {
+            let factor = a[r * n + col] / pivot;
+            if factor == 0.0 {
+                continue;
+            }
+            for c in col..n {
+                a[r * n + c] -= factor * a[col * n + c];
+            }
+            x[r] -= factor * x[col];
+        }
+    }
+    // Back substitution.
+    for col in (0..n).rev() {
+        let mut acc = x[col];
+        for c in (col + 1)..n {
+            acc -= a[col * n + c] * x[c];
+        }
+        x[col] = acc / a[col * n + col];
+    }
+    Ok(())
+}
+
+/// Helpers with no production caller left — the NNLS fuses its vector
+/// products into one row sweep and solves through
+/// [`solve_normal_equations`] — kept for the naive reference solver in
+/// `nnls::tests` and for the tests below.
+#[cfg(test)]
+impl Matrix {
+    /// Solves the square system `A·x = b` by Gaussian elimination with
+    /// partial pivoting.
+    ///
+    /// Returns [`FitError::SingularSystem`] when a pivot is numerically
+    /// zero, and [`FitError::DimensionMismatch`] for shape errors.
+    pub(crate) fn solve(&self, b: &[f64]) -> Result<Vec<f64>, FitError> {
+        if self.rows != self.cols {
+            return Err(FitError::DimensionMismatch {
+                context: "solve: matrix not square",
+            });
+        }
+        if b.len() != self.rows {
+            return Err(FitError::DimensionMismatch {
+                context: "solve: rhs length != rows",
+            });
+        }
+        let mut a = self.data.clone();
+        let mut x = b.to_vec();
+        solve_in_place(&mut a, &mut x)?;
+        Ok(x)
+    }
+
+    /// Computes the matrix-vector product `A·x`.
+    pub(crate) fn mul_vec(&self, x: &[f64]) -> Result<Vec<f64>, FitError> {
+        if x.len() != self.cols {
+            return Err(FitError::DimensionMismatch {
+                context: "mul_vec: vector length != cols",
+            });
+        }
+        let mut out = vec![0.0; self.rows];
+        for (r, o) in out.iter_mut().enumerate() {
+            let row = self.row(r);
+            let mut acc = 0.0;
+            for (a, b) in row.iter().zip(x.iter()) {
+                acc += a * b;
+            }
+            *o = acc;
+        }
+        Ok(out)
     }
 
     /// Returns the residual sum of squares `‖A·x − b‖₂²`.
-    pub fn residual_ss(&self, x: &[f64], b: &[f64]) -> Result<f64, FitError> {
+    pub(crate) fn residual_ss(&self, x: &[f64], b: &[f64]) -> Result<f64, FitError> {
         let ax = self.mul_vec(x)?;
         if b.len() != ax.len() {
             return Err(FitError::DimensionMismatch {

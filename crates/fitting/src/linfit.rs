@@ -91,9 +91,45 @@ impl NonNegLinearFit {
         }
         let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
         let a = Matrix::from_rows(&refs)?;
+        self.fit_matrix_impl(&a, targets, tel)
+    }
+
+    /// Like [`NonNegLinearFit::fit_rows_traced`], over a design matrix
+    /// whose rows are the feature rows: callers that fill one row-major
+    /// buffer ([`Matrix::from_vec`]) skip the per-row heap vectors.
+    /// Same requirements as `fit_rows`.
+    pub fn fit_matrix_traced(
+        &self,
+        design: &Matrix,
+        targets: &[f64],
+        tel: &Telemetry,
+    ) -> Result<LinearModel, FitError> {
+        if design.rows() != targets.len() {
+            return Err(FitError::DimensionMismatch {
+                context: "fit_matrix: rows/targets length mismatch",
+            });
+        }
+        if design.rows() == 0 {
+            return Err(FitError::NotEnoughSamples { got: 0, need: 1 });
+        }
+        if design.rows() < design.cols() {
+            return Err(FitError::NotEnoughSamples {
+                got: design.rows(),
+                need: design.cols(),
+            });
+        }
+        self.fit_matrix_impl(design, targets, Some(tel))
+    }
+
+    fn fit_matrix_impl(
+        &self,
+        a: &Matrix,
+        targets: &[f64],
+        tel: Option<&Telemetry>,
+    ) -> Result<LinearModel, FitError> {
         let NnlsSolution { x, residual_ss, .. } = match tel {
-            Some(tel) if tel.is_enabled() => nnls_traced(&a, targets, tel)?,
-            _ => nnls(&a, targets)?,
+            Some(tel) if tel.is_enabled() => nnls_traced(a, targets, tel)?,
+            _ => nnls(a, targets)?,
         };
         Ok(LinearModel {
             theta: x,
@@ -176,6 +212,34 @@ mod tests {
             assert!((got - want).abs() < 1e-6, "{got} vs {want}");
         }
         assert!(m.residual_ss < 1e-10);
+    }
+
+    #[test]
+    fn matrix_entry_matches_row_entry() {
+        let rows: Vec<Vec<f64>> = (1..=9)
+            .map(|i| vec![1.0, i as f64, (i * i % 7) as f64])
+            .collect();
+        let targets: Vec<f64> = rows.iter().map(|r| 0.5 + 2.0 * r[1] - 0.3 * r[2]).collect();
+        let flat = Matrix::from_vec(9, 3, rows.concat()).unwrap();
+        let tel = Telemetry::disabled();
+        assert_eq!(
+            NonNegLinearFit.fit_matrix_traced(&flat, &targets, &tel),
+            NonNegLinearFit.fit_rows(&rows, &targets)
+        );
+        let short = Matrix::from_vec(2, 3, vec![1.0; 6]).unwrap();
+        assert_eq!(
+            NonNegLinearFit.fit_matrix_traced(&short, &[1.0, 2.0], &tel),
+            Err(FitError::NotEnoughSamples { got: 2, need: 3 })
+        );
+        let empty = Matrix::from_vec(0, 3, Vec::new()).unwrap();
+        assert_eq!(
+            NonNegLinearFit.fit_matrix_traced(&empty, &[], &tel),
+            Err(FitError::NotEnoughSamples { got: 0, need: 1 })
+        );
+        assert!(matches!(
+            NonNegLinearFit.fit_matrix_traced(&flat, &targets[1..], &tel),
+            Err(FitError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! region.
 
 use crate::error::FitError;
-use crate::linalg::Matrix;
+use crate::linalg::{solve_normal_equations, Matrix};
 
 /// Options controlling the NNLS iteration.
 #[derive(Debug, Clone, Copy)]
@@ -83,7 +83,20 @@ pub fn nnls_traced(
     }
 }
 
+/// Column count up to which a solve keeps all of its state on the stack
+/// (the speed models have 4 or 5 coefficients, the loss curve 2).
+const STACK_COLS: usize = 5;
+
 /// Solves `min ‖A·x − b‖₂ s.t. x ≥ 0` with explicit options.
+///
+/// The normal-equation products `AᵀA` and `Aᵀb` are computed once per
+/// solve, and every passive-set subproblem is solved from their
+/// `|P|×|P|` slice (Bro & de Jong's FNNLS caching), instead of
+/// re-deriving a Gram matrix from the rows at each active-set step.
+/// The duals are still swept row by row, so every float matches the
+/// textbook formulation bit for bit (DESIGN §8); the `reference_*`
+/// tests pin it against that naive solver. Up to five columns no
+/// per-solve state touches the heap except the returned `x`.
 pub fn nnls_with(a: &Matrix, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolution, FitError> {
     if b.len() != a.rows() {
         return Err(FitError::DimensionMismatch {
@@ -108,20 +121,76 @@ pub fn nnls_with(a: &Matrix, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolutio
     }
 
     let n = a.cols();
-    let mut x = vec![0.0_f64; n];
+    if n <= STACK_COLS {
+        let mut floats = [0.0_f64; 3 * STACK_COLS * STACK_COLS + 4 * STACK_COLS];
+        let mut flags = [false; 2 * STACK_COLS];
+        let mut p_idx = [0usize; STACK_COLS];
+        lawson_hanson(a, b, opts, &mut floats, &mut flags, &mut p_idx)
+    } else {
+        lawson_hanson(
+            a,
+            b,
+            opts,
+            &mut vec![0.0; 3 * n * n + 4 * n],
+            &mut vec![false; 2 * n],
+            &mut vec![0; n],
+        )
+    }
+}
+
+/// The active-set iteration of [`nnls_with`] on validated input.
+/// `floats` (≥ `3n² + 4n`), `flags` (≥ `2n`, all `false`) and `p_idx`
+/// (≥ `n`) are the per-solve scratch, `n = a.cols()`.
+fn lawson_hanson(
+    a: &Matrix,
+    b: &[f64],
+    opts: NnlsOptions,
+    floats: &mut [f64],
+    flags: &mut [bool],
+    p_idx: &mut [usize],
+) -> Result<NnlsSolution, FitError> {
+    let n = a.cols();
+    let (gram, rest) = floats.split_at_mut(n * n);
+    let (sub, rest) = rest.split_at_mut(2 * n * n + n);
+    let (atb, rest) = rest.split_at_mut(n);
+    let (w, rest) = rest.split_at_mut(n);
+    let z = &mut rest[..n];
     // `passive[i]` ⇔ coordinate `i` is in the passive (free) set P.
-    let mut passive = vec![false; n];
-    // Coordinates whose trial entry was rejected (non-positive subproblem
-    // coefficient) since `x` last changed. Prevents the classic cycling
-    // case when a true coefficient sits exactly on the boundary.
-    let mut rejected = vec![false; n];
+    // `rejected[i]` ⇔ its trial entry was rejected (non-positive
+    // subproblem coefficient) since `x` last changed, which prevents the
+    // classic cycling case when a true coefficient sits exactly on the
+    // boundary.
+    let (passive, rest) = flags.split_at_mut(n);
+    let rejected = &mut rest[..n];
+    a.gram_into(gram);
+    a.tr_mul_vec_into(b, atb);
+
+    let mut x = vec![0.0_f64; n];
     let mut iterations = 0usize;
+    // The dual at x = 0 is Aᵀb bit for bit: every `acc` sums only
+    // `±0.0` products onto `+0.0`, so each residual is exactly `b[r]`.
+    w.copy_from_slice(atb);
+    let mut w_current = true;
 
     loop {
-        // Dual vector w = Aᵀ(b − A·x).
-        let ax = a.mul_vec(&x)?;
-        let resid: Vec<f64> = b.iter().zip(ax.iter()).map(|(bi, ai)| bi - ai).collect();
-        let w = a.tr_mul_vec(&resid)?;
+        if !w_current {
+            // Dual vector w = Aᵀ(b − A·x) in one row sweep: each row's
+            // residual, then its accumulation into `w`, in the order of
+            // an `A·x` pass followed by an `Aᵀ·resid` pass.
+            w.fill(0.0);
+            for (r, &br) in b.iter().enumerate() {
+                let row = a.row(r);
+                let mut acc = 0.0;
+                for (v, xi) in row.iter().zip(x.iter()) {
+                    acc += v * xi;
+                }
+                let resid = br - acc;
+                for (wi, v) in w.iter_mut().zip(row.iter()) {
+                    *wi += v * resid;
+                }
+            }
+            w_current = true;
+        }
 
         // Pick the most promising inactive, non-rejected coordinate.
         let mut best: Option<(usize, f64)> = None;
@@ -136,10 +205,18 @@ pub fn nnls_with(a: &Matrix, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolutio
         let Some((enter, _)) = best else {
             // KKT conditions hold (up to rejected boundary coordinates):
             // done.
-            let rss = a.residual_ss(&x, b)?;
+            let residual_ss = (0..a.rows())
+                .map(|r| {
+                    let mut acc = 0.0;
+                    for (v, xi) in a.row(r).iter().zip(x.iter()) {
+                        acc += v * xi;
+                    }
+                    (acc - b[r]) * (acc - b[r])
+                })
+                .sum();
             return Ok(NnlsSolution {
                 x,
-                residual_ss: rss,
+                residual_ss,
                 iterations,
             });
         };
@@ -151,23 +228,26 @@ pub fn nnls_with(a: &Matrix, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolutio
             });
         }
 
+        // Trial solve: if the entering coordinate would come out
+        // non-positive, entering it cannot reduce the residual — reject
+        // it until the iterate changes (the dual stays current).
         passive[enter] = true;
-        {
-            // Trial solve: if the entering coordinate would come out
-            // non-positive, entering it cannot reduce the residual —
-            // reject it until the iterate changes.
-            let p_idx: Vec<usize> = (0..n).filter(|&i| passive[i]).collect();
-            let z = solve_subproblem(a, b, &p_idx)?;
-            let slot = p_idx.iter().position(|&i| i == enter).expect("enter in P");
-            if z[slot] <= opts.tolerance {
-                passive[enter] = false;
-                rejected[enter] = true;
-                continue;
-            }
+        let mut m = passive_indices(passive, p_idx);
+        solve_passive(gram, atb, a.rows(), &p_idx[..m], sub, z)?;
+        let slot = p_idx[..m]
+            .iter()
+            .position(|&i| i == enter)
+            .expect("enter in P");
+        if z[slot] <= opts.tolerance {
+            passive[enter] = false;
+            rejected[enter] = true;
+            continue;
         }
 
         // Inner loop: solve the unconstrained subproblem on P; if the
         // solution leaves the feasible region, step back and shrink P.
+        // The first pass reuses the trial's solution — the same P.
+        let mut trial = true;
         loop {
             iterations += 1;
             if iterations > opts.max_iterations {
@@ -175,15 +255,17 @@ pub fn nnls_with(a: &Matrix, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolutio
                     limit: opts.max_iterations,
                 });
             }
-
-            let p_idx: Vec<usize> = (0..n).filter(|&i| passive[i]).collect();
-            let z = solve_subproblem(a, b, &p_idx)?;
+            if !trial {
+                m = passive_indices(passive, p_idx);
+                solve_passive(gram, atb, a.rows(), &p_idx[..m], sub, z)?;
+            }
+            trial = false;
+            let (p, z) = (&p_idx[..m], &z[..m]);
 
             // Any non-positive coordinate in the subproblem solution?
-            let all_positive = z.iter().all(|&zi| zi > opts.tolerance);
-            if all_positive {
-                for (slot, &i) in p_idx.iter().enumerate() {
-                    x[i] = z[slot];
+            if z.iter().all(|&zi| zi > opts.tolerance) {
+                for (&i, &zi) in p.iter().zip(z) {
+                    x[i] = zi;
                 }
                 for i in 0..n {
                     if !passive[i] {
@@ -192,15 +274,15 @@ pub fn nnls_with(a: &Matrix, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolutio
                 }
                 // The iterate changed: previously rejected coordinates may
                 // be viable again.
-                rejected.iter_mut().for_each(|r| *r = false);
+                rejected.fill(false);
                 break;
             }
 
             // Step length α: largest step toward z that stays feasible.
             let mut alpha = f64::INFINITY;
-            for (slot, &i) in p_idx.iter().enumerate() {
-                if z[slot] <= opts.tolerance {
-                    let denom = x[i] - z[slot];
+            for (&i, &zi) in p.iter().zip(z) {
+                if zi <= opts.tolerance {
+                    let denom = x[i] - zi;
                     if denom > 0.0 {
                         alpha = alpha.min(x[i] / denom);
                     } else {
@@ -211,11 +293,11 @@ pub fn nnls_with(a: &Matrix, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolutio
             if !alpha.is_finite() {
                 alpha = 0.0;
             }
-            for (slot, &i) in p_idx.iter().enumerate() {
-                x[i] += alpha * (z[slot] - x[i]);
+            for (&i, &zi) in p.iter().zip(z) {
+                x[i] += alpha * (zi - x[i]);
             }
             // Freeze coordinates that hit the boundary.
-            for &i in &p_idx {
+            for &i in p {
                 if x[i] <= opts.tolerance {
                     x[i] = 0.0;
                     passive[i] = false;
@@ -227,20 +309,51 @@ pub fn nnls_with(a: &Matrix, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolutio
                 break;
             }
         }
+        w_current = false;
     }
 }
 
-/// Solves the unconstrained least-squares subproblem restricted to the
-/// passive columns `p_idx`, returning coefficients in `p_idx` order.
-fn solve_subproblem(a: &Matrix, b: &[f64], p_idx: &[usize]) -> Result<Vec<f64>, FitError> {
-    let mut sub = Matrix::zeros(a.rows(), p_idx.len());
-    for r in 0..a.rows() {
-        let row = a.row(r);
-        for (slot, &i) in p_idx.iter().enumerate() {
-            sub.set(r, slot, row[i]);
+/// Writes the passive coordinates into `p_idx` in ascending order and
+/// returns how many there are.
+fn passive_indices(passive: &[bool], p_idx: &mut [usize]) -> usize {
+    let mut m = 0;
+    for (i, &p) in passive.iter().enumerate() {
+        if p {
+            p_idx[m] = i;
+            m += 1;
         }
     }
-    sub.lstsq(b)
+    m
+}
+
+/// Solves the unconstrained least-squares subproblem on the passive
+/// columns `p` from the cached products of the whole matrix: the normal
+/// equations `G[P,P]·z = (Aᵀb)[P]`, with [`Matrix::lstsq`]'s
+/// under-determined check and ridge retry. `z[..|P|]` receives the
+/// coefficients in `p` order; `sub` (`2n² + n`) is scratch.
+fn solve_passive(
+    gram: &[f64],
+    atb: &[f64],
+    rows: usize,
+    p: &[usize],
+    sub: &mut [f64],
+    z: &mut [f64],
+) -> Result<(), FitError> {
+    let n = atb.len();
+    let m = p.len();
+    if rows < m {
+        return Err(FitError::NotEnoughSamples { got: rows, need: m });
+    }
+    let (g, rest) = sub.split_at_mut(m * m);
+    let (work, rest) = rest.split_at_mut(m * m);
+    let rhs = &mut rest[..m];
+    for (si, &i) in p.iter().enumerate() {
+        for (sj, &j) in p.iter().enumerate() {
+            g[si * m + sj] = gram[i * n + j];
+        }
+        rhs[si] = atb[i];
+    }
+    solve_normal_equations(g, rhs, work, &mut z[..m])
 }
 
 /// Solution of a specialized two-column NNLS solve.
@@ -262,14 +375,15 @@ pub(crate) struct Nnls2Solution {
 /// shape of every per-candidate solve in the β₂ scan of
 /// [`crate::LossCurveFitter`].
 ///
-/// This is an arithmetic-faithful transcription of [`nnls_with`]
-/// composed with `solve_subproblem` → `Matrix::lstsq` → `Matrix::solve`
-/// for `cols == 2`: same accumulation orders, same zero-row skip in the
+/// This is an arithmetic-faithful transcription of the textbook
+/// Lawson–Hanson formulation (the `reference_nnls_with` test oracle:
+/// per-step submatrix → `Matrix::lstsq`) for
+/// `cols == 2`: same accumulation orders, same zero-row skip in the
 /// Gram products, same partial-pivot/elimination/back-substitution
 /// sequence, same ridge retry, same tie-breaking in the dual argmax —
 /// so it returns bit-identical `(x, residual_ss)` (proven by the
-/// `nnls2_matches_reference` proptest). It differs in two ways that
-/// cannot change results:
+/// `nnls2_matches_reference` tests against that oracle). It differs in
+/// two ways that cannot change results:
 ///
 /// - **No heap allocations**: the passive set, duals and subproblem all
 ///   live in fixed-size arrays.
@@ -427,7 +541,7 @@ pub(crate) fn nnls2(
 }
 
 /// Subproblem solve restricted to the passive columns: the `cols ≤ 2`
-/// specialization of `solve_subproblem` + `Matrix::lstsq` (Gram with
+/// specialization of the per-step submatrix `Matrix::lstsq` (Gram with
 /// zero-row skip, Aᵀb, Gaussian solve, ridge retry on singularity).
 /// Returns `(z, |P|, P-indices)` with `z` in P-slot order.
 fn solve_sub2(
@@ -569,7 +683,7 @@ pub(crate) fn solve_sub2_cached(
     }
 }
 
-/// `Matrix::solve` for a 1×1 system.
+/// The Gaussian solve behind `Matrix::lstsq` for a 1×1 system.
 fn solve1(g: f64, rhs: f64) -> Result<f64, FitError> {
     if g.abs() < 1e-13 {
         return Err(FitError::SingularSystem);
@@ -577,8 +691,9 @@ fn solve1(g: f64, rhs: f64) -> Result<f64, FitError> {
     Ok(rhs / g)
 }
 
-/// `Matrix::solve` for a 2×2 row-major system: same partial pivot,
-/// elimination-with-zero-factor-skip and back substitution.
+/// The Gaussian solve behind `Matrix::lstsq` for a 2×2 row-major
+/// system: same partial pivot, elimination-with-zero-factor-skip and
+/// back substitution.
 fn solve2(g: [f64; 4], rhs: [f64; 2]) -> Result<[f64; 2], FitError> {
     let mut a = g;
     let mut x = rhs;
@@ -620,9 +735,371 @@ fn solve2(g: [f64; 4], rhs: [f64; 2]) -> Result<[f64; 2], FitError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The naive Lawson–Hanson formulation [`nnls_with`] replaced, kept
+    /// verbatim as the executable specification: every step copies the
+    /// passive columns into a fresh submatrix and solves it with
+    /// [`Matrix::lstsq`], and every dual allocates `A·x`, the residual
+    /// and `Aᵀ·resid`.
+    fn reference_nnls_with(
+        a: &Matrix,
+        b: &[f64],
+        opts: NnlsOptions,
+    ) -> Result<NnlsSolution, FitError> {
+        if b.len() != a.rows() {
+            return Err(FitError::DimensionMismatch {
+                context: "nnls: rhs length != rows",
+            });
+        }
+        for v in b {
+            if !v.is_finite() {
+                return Err(FitError::NonFiniteInput {
+                    context: "nnls rhs",
+                });
+            }
+        }
+        for r in 0..a.rows() {
+            for &v in a.row(r) {
+                if !v.is_finite() {
+                    return Err(FitError::NonFiniteInput {
+                        context: "nnls matrix",
+                    });
+                }
+            }
+        }
+
+        let n = a.cols();
+        let mut x = vec![0.0_f64; n];
+        let mut passive = vec![false; n];
+        let mut rejected = vec![false; n];
+        let mut iterations = 0usize;
+
+        loop {
+            let ax = a.mul_vec(&x)?;
+            let resid: Vec<f64> = b.iter().zip(ax.iter()).map(|(bi, ai)| bi - ai).collect();
+            let w = a.tr_mul_vec(&resid)?;
+
+            let mut best: Option<(usize, f64)> = None;
+            for i in 0..n {
+                if !passive[i] && !rejected[i] && w[i] > opts.tolerance {
+                    match best {
+                        Some((_, bw)) if bw >= w[i] => {}
+                        _ => best = Some((i, w[i])),
+                    }
+                }
+            }
+            let Some((enter, _)) = best else {
+                let rss = a.residual_ss(&x, b)?;
+                return Ok(NnlsSolution {
+                    x,
+                    residual_ss: rss,
+                    iterations,
+                });
+            };
+
+            iterations += 1;
+            if iterations > opts.max_iterations {
+                return Err(FitError::IterationLimit {
+                    limit: opts.max_iterations,
+                });
+            }
+
+            passive[enter] = true;
+            {
+                let p_idx: Vec<usize> = (0..n).filter(|&i| passive[i]).collect();
+                let z = reference_solve_subproblem(a, b, &p_idx)?;
+                let slot = p_idx.iter().position(|&i| i == enter).expect("enter in P");
+                if z[slot] <= opts.tolerance {
+                    passive[enter] = false;
+                    rejected[enter] = true;
+                    continue;
+                }
+            }
+
+            loop {
+                iterations += 1;
+                if iterations > opts.max_iterations {
+                    return Err(FitError::IterationLimit {
+                        limit: opts.max_iterations,
+                    });
+                }
+
+                let p_idx: Vec<usize> = (0..n).filter(|&i| passive[i]).collect();
+                let z = reference_solve_subproblem(a, b, &p_idx)?;
+
+                let all_positive = z.iter().all(|&zi| zi > opts.tolerance);
+                if all_positive {
+                    for (slot, &i) in p_idx.iter().enumerate() {
+                        x[i] = z[slot];
+                    }
+                    for i in 0..n {
+                        if !passive[i] {
+                            x[i] = 0.0;
+                        }
+                    }
+                    rejected.iter_mut().for_each(|r| *r = false);
+                    break;
+                }
+
+                let mut alpha = f64::INFINITY;
+                for (slot, &i) in p_idx.iter().enumerate() {
+                    if z[slot] <= opts.tolerance {
+                        let denom = x[i] - z[slot];
+                        if denom > 0.0 {
+                            alpha = alpha.min(x[i] / denom);
+                        } else {
+                            alpha = 0.0;
+                        }
+                    }
+                }
+                if !alpha.is_finite() {
+                    alpha = 0.0;
+                }
+                for (slot, &i) in p_idx.iter().enumerate() {
+                    x[i] += alpha * (z[slot] - x[i]);
+                }
+                for &i in &p_idx {
+                    if x[i] <= opts.tolerance {
+                        x[i] = 0.0;
+                        passive[i] = false;
+                    }
+                }
+                if !passive.iter().any(|&p| p) {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// The reference subproblem: a heap copy of the passive columns,
+    /// solved by [`Matrix::lstsq`] (coefficients in `p_idx` order).
+    fn reference_solve_subproblem(
+        a: &Matrix,
+        b: &[f64],
+        p_idx: &[usize],
+    ) -> Result<Vec<f64>, FitError> {
+        let mut sub = Matrix::zeros(a.rows(), p_idx.len());
+        for r in 0..a.rows() {
+            let row = a.row(r);
+            for (slot, &i) in p_idx.iter().enumerate() {
+                sub.set(r, slot, row[i]);
+            }
+        }
+        sub.lstsq(b)
+    }
 
     fn mat(rows: &[&[f64]]) -> Matrix {
         Matrix::from_rows(rows).unwrap()
+    }
+
+    /// Structures planted in the systems the oracle proptest draws, each
+    /// aimed at one branch of the solver.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        /// Quantized entries, a fifth of them exactly zero.
+        Random,
+        /// Few distinct rows repeated: rank-deficient Gram.
+        DuplicateRows,
+        /// One column an exact multiple of another.
+        CollinearColumns,
+        /// One column a 1e-7 perturbation of another, with large
+        /// targets: both enter and the second pivot needs the ridge
+        /// retry.
+        NearCollinearColumns,
+        /// An all-zero column: every Gram term in it is zero-skipped.
+        ZeroColumn,
+        /// Fewer rows than columns (under-determined subproblems).
+        Wide,
+        /// Non-negative matrix against negative targets: x = 0.
+        NegativeTargets,
+        /// Targets exactly `A·x*` for a sparse non-negative `x*`, with
+        /// columns of magnitude ~1e3: the converged dual is rounding
+        /// noise, so boundary columns enter with a tiny positive dual and
+        /// their trial coefficient is rejected.
+        Consistent,
+        /// A non-finite target.
+        NonFiniteRhs,
+        /// A non-finite matrix entry.
+        NonFiniteMatrix,
+        /// Both: the rhs must be reported first.
+        NonFiniteBoth,
+        /// The speed-model feature rows `[M/w, 1, w/p, w, p]`.
+        SpeedFeatures,
+    }
+
+    const SHAPES: [Shape; 12] = [
+        Shape::Random,
+        Shape::DuplicateRows,
+        Shape::CollinearColumns,
+        Shape::NearCollinearColumns,
+        Shape::ZeroColumn,
+        Shape::Wide,
+        Shape::NegativeTargets,
+        Shape::Consistent,
+        Shape::NonFiniteRhs,
+        Shape::NonFiniteMatrix,
+        Shape::NonFiniteBoth,
+        Shape::SpeedFeatures,
+    ];
+
+    /// Builds a `rows × cols` system of the given shape from `seed`,
+    /// with targets scaled by `1000^scale`: at large scales the rounding
+    /// left in a converged dual exceeds the tolerance, so boundary
+    /// columns enter and get rejected, and exactly fitted wide systems
+    /// try to grow P past the row count.
+    fn planted_system(
+        shape: Shape,
+        rows: usize,
+        cols: usize,
+        scale: i32,
+        seed: u64,
+    ) -> (Matrix, Vec<f64>) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Multiples of 1/4 in [-5, 5], exactly zero one time in five.
+        let mut value = move || {
+            let r = next();
+            if r % 5 == 0 {
+                0.0
+            } else {
+                ((r >> 8) % 41) as f64 / 4.0 - 5.0
+            }
+        };
+        let rows = if matches!(shape, Shape::Wide) {
+            rows.min(cols.saturating_sub(1))
+        } else {
+            rows
+        };
+        let mut data: Vec<f64> = (0..rows * cols).map(|_| value()).collect();
+        let mut b: Vec<f64> = (0..rows).map(|_| value()).collect();
+        let at = |r: usize, c: usize| r * cols + c;
+        match shape {
+            Shape::Random | Shape::Wide => {}
+            Shape::DuplicateRows => {
+                for r in 2..rows {
+                    for c in 0..cols {
+                        data[at(r, c)] = data[at(r % 2, c)];
+                    }
+                }
+            }
+            Shape::CollinearColumns if cols >= 2 => {
+                for r in 0..rows {
+                    data[at(r, cols - 1)] = 2.0 * data[at(r, 0)];
+                }
+            }
+            Shape::NearCollinearColumns if cols >= 2 && rows >= 1 => {
+                for r in 0..rows {
+                    data[at(r, cols - 1)] = data[at(r, 0)];
+                }
+                data[at(rows - 1, cols - 1)] += 1e-7;
+                b.iter_mut().for_each(|v| *v *= 1e6);
+            }
+            Shape::ZeroColumn => {
+                let c = (seed % cols as u64) as usize;
+                for r in 0..rows {
+                    data[at(r, c)] = 0.0;
+                }
+            }
+            Shape::NegativeTargets => {
+                data.iter_mut().for_each(|v| *v = v.abs());
+                b.iter_mut().for_each(|v| *v = -v.abs() - 0.25);
+            }
+            Shape::Consistent => {
+                data.iter_mut().for_each(|v| *v *= 1e3);
+                let x_star: Vec<f64> = (0..cols).map(|c| [3.0, 0.0, 0.5, 0.0, 1.25][c]).collect();
+                for r in 0..rows {
+                    let mut acc = 0.0;
+                    for c in 0..cols {
+                        acc += data[at(r, c)] * x_star[c];
+                    }
+                    b[r] = acc;
+                }
+            }
+            Shape::NonFiniteRhs | Shape::NonFiniteBoth if rows >= 1 => {
+                b[(seed % rows as u64) as usize] = f64::NAN;
+                if matches!(shape, Shape::NonFiniteBoth) {
+                    data[0] = f64::INFINITY;
+                }
+            }
+            Shape::NonFiniteMatrix if rows >= 1 => {
+                data[(seed % (rows * cols) as u64) as usize] = f64::NEG_INFINITY;
+            }
+            Shape::SpeedFeatures => {
+                for r in 0..rows {
+                    let p = (next() % 8 + 1) as f64;
+                    let w = (next() % 8 + 1) as f64;
+                    let feats = [256.0 / w, 1.0, w / p, w, p];
+                    for c in 0..cols {
+                        data[at(r, c)] = feats[c];
+                    }
+                    b[r] = 0.05 * feats[0] + 0.3 + 0.01 * feats[2 % cols] + value().abs() * 1e-3;
+                }
+            }
+            _ => {}
+        }
+        b.iter_mut().for_each(|v| *v *= 1000f64.powi(scale));
+        (Matrix::from_vec(rows, cols, data).unwrap(), b)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The Gram-cached solver returns exactly what the naive
+        /// formulation returns: bit-identical `x` and residual, the same
+        /// iteration count, or the same error variant and context.
+        #[test]
+        fn reference_matches_gram_cached_solver(
+            shape in 0..SHAPES.len(),
+            rows in 0usize..14,
+            cols in 1usize..=5,
+            scale in 0i32..3,
+            seed in any::<u64>(),
+            max_iterations in prop_oneof![Just(300usize), 0usize..4],
+        ) {
+            let (a, b) = planted_system(SHAPES[shape], rows, cols, scale, seed);
+            let opts = NnlsOptions { max_iterations, ..NnlsOptions::default() };
+            let ctx = format!(
+                "{:?} {rows}x{cols} scale {scale} seed {seed} limit {max_iterations}",
+                SHAPES[shape]
+            );
+            match (reference_nnls_with(&a, &b, opts), nnls_with(&a, &b, opts)) {
+                (Ok(r), Ok(f)) => {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&r.x), bits(&f.x), "x for {}", ctx);
+                    prop_assert_eq!(r.residual_ss.to_bits(), f.residual_ss.to_bits(), "rss for {}", ctx);
+                    prop_assert_eq!(r.iterations, f.iterations, "iterations for {}", ctx);
+                }
+                (Err(re), Err(fe)) => prop_assert_eq!(re, fe, "error for {}", ctx),
+                (r, f) => prop_assert!(false, "diverged on {}: reference {:?} vs solver {:?}", ctx, r, f),
+            }
+        }
+    }
+
+    #[test]
+    fn reference_matches_wide_heap_path() {
+        // Beyond five columns the same iteration runs on heap scratch.
+        for seed in 1..200u64 {
+            let (a, b) = planted_system(Shape::Random, 3 + (seed % 9) as usize, 7, 0, seed);
+            let (r, f) = (
+                reference_nnls_with(&a, &b, NnlsOptions::default()),
+                nnls(&a, &b),
+            );
+            match (r, f) {
+                (Ok(r), Ok(f)) => {
+                    assert_eq!(r.x, f.x, "seed {seed}");
+                    assert_eq!(r.residual_ss.to_bits(), f.residual_ss.to_bits());
+                    assert_eq!(r.iterations, f.iterations);
+                }
+                (Err(re), Err(fe)) => assert_eq!(re, fe),
+                (r, f) => panic!("diverged at seed {seed}: {r:?} vs {f:?}"),
+            }
+        }
     }
 
     #[test]
@@ -725,12 +1202,13 @@ mod tests {
         assert!(sol.iterations >= 1);
     }
 
-    /// Checks `nnls2` against the general solver on the same system:
+    /// Checks `nnls2` against the naive reference solver on the same system:
     /// bit-identical coefficients and residual, identical iteration
     /// count (the trial-solve dedup skips work, not counter bumps).
     fn assert_nnls2_matches(rows: &[[f64; 2]], b: &[f64]) {
         let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let reference = Matrix::from_rows(&refs).and_then(|a| nnls(&a, b));
+        let reference = Matrix::from_rows(&refs)
+            .and_then(|a| reference_nnls_with(&a, b, NnlsOptions::default()));
         let fast = nnls2(rows, b, NnlsOptions::default());
         match (reference, fast) {
             (Ok(r), Ok(f)) => {

@@ -18,6 +18,12 @@ lint:
 bench:
     cargo bench --bench scheduler_scalability
 
+# Run the Criterion micro-benchmarks (NNLS, loss-curve and speed-model
+# fits, PAA, one testbed schedule, the Eqn-2 step time) cited in
+# EXPERIMENTS "Criterion micro-benchmarks".
+bench-micro:
+    cargo bench -p optimus-bench --bench micro
+
 # Time one scheduling decision per scalability point and append the
 # result to the committed trajectory file (compare entries across PRs).
 bench-sched:
@@ -37,11 +43,14 @@ bench-alloc:
     cargo test --release -p optimus-core --test zero_alloc
 
 # Prove the optimized paths byte-identical to the naive reference
-# implementations (property-based): allocator/placer, the incremental
-# warm-started convergence fitter, the batched SoA fit engine (plus its
-# in-crate unit tests under release codegen, which pit the portable
-# wave passes against the AVX-512 ones bit for bit), and the
-# simulator. The simulator suite runs four ways — under the
+# implementations (property-based): allocator/placer, the speed-model
+# refit against the old heap-row formulation
+# (`speed_model_refit_matches_row_oracle`), the incremental
+# warm-started convergence fitter, the batched SoA fit engine (plus the
+# fitting crate's unit tests under release codegen, which pit the
+# portable wave passes against the AVX-512 ones bit for bit and the
+# Gram-cached NNLS against the naive Lawson–Hanson solver,
+# `reference_matches_gram_cached_solver`), and the simulator. The simulator suite runs four ways — under the
 # discrete-event engine (the default), forced to the legacy tick loop,
 # with the batched refit engine disabled, and with delta rounds
 # disabled (every round re-derived from scratch) — so every engine
