@@ -9,10 +9,11 @@
 //! cross-lane reductions, branchless selects, `[f64; LANES]`
 //! accumulators), which is where the speedup comes from; on CPUs with
 //! avx512f, [`fit_batch`] additionally dispatches to an AVX-512
-//! compilation of the passes, with the two sample sweeps (Gram/RHS and
-//! the dual) hand-vectorized via intrinsics. Per-lane *control* (grid
-//! walk, memoization, golden-section branching, NNLS active-set
-//! changes) stays scalar.
+//! compilation of the passes, with the Gram/RHS sweep hand-vectorized
+//! via intrinsics (the dual and overflow-probe sweeps are portable
+//! only: they run just on the rounds the Gram cannot certify).
+//! Per-lane *control* (grid walk, memoization, golden-section
+//! branching, NNLS active-set changes) stays scalar.
 //!
 //! # Bit-identity
 //!
@@ -46,6 +47,20 @@
 //!   column is passive or rejected, `nnls2`'s next entering-column scan
 //!   can pick nothing whatever the dual holds, so the lane converges
 //!   without that sweep (see `advance_lane`).
+//! * **Entering tests are certified from the Gram.** Every other scan
+//!   reads the dual only through `w_o > tol` for the one column `o`
+//!   outside a one-column passive set `{p}`, or sees `x = 0`, where the
+//!   fused sweep *is* pass A's RHS bit for bit. `certify_entry` answers
+//!   the sign test from `rhs_o − g_op·x_p` whenever that clears `tol` by
+//!   more than a bound on its own and the fused sweep's rounding, so it
+//!   decides exactly as the sweep would; one undecided lane makes the
+//!   wave run the real sweep (`certified_duals`). `x` is still solved
+//!   from the same Gram, so nothing the dual feeds can change.
+//! * **The overflow probe reads the Gram.** A non-finite kept-row entry
+//!   has a square of `+∞` or NaN, which makes `g00` or `g11`
+//!   non-finite; lanes with a finite diagonal have finite rows, and only
+//!   a wave with a non-finite diagonal runs the exact probe sweep
+//!   (`overflowed_rows`).
 //! * **Full-sum abandonment is prefix abandonment.** Residual terms
 //!   `e·e` are never NaN (predictions are finite or ±∞, never NaN) and
 //!   non-negative, so partial sums are monotone: the full sum exceeds
@@ -627,12 +642,11 @@ struct LaneNnls {
 }
 
 /// Pass A outputs: everything lane `j`'s NNLS admission and solve need
-/// from one sweep over the gathered samples.
+/// from one sweep over the gathered samples (row overflow is read off
+/// the Gram diagonal, see [`overflowed_rows`]).
 struct PassA {
     /// Rows with `gap > 1e-9` — the scalar path's kept-row count.
     kept: [u64; LANES],
-    /// True iff some kept row overflowed to a non-finite value.
-    bad: [bool; LANES],
     g00: [f64; LANES],
     g01: [f64; LANES],
     g11: [f64; LANES],
@@ -659,16 +673,10 @@ fn build_row(k: f64, l: f64, beta2: f64) -> (f64, f64, f64, bool) {
 
 /// Pass A, portable form: builds each regression row and accumulates
 /// the Gram matrix and RHS in ascending-sample order — the exact order
-/// `nnls2` sums them, so every f64 is bit-identical. The two
-/// non-arithmetic facts admission needs ride along as f64 lanes: `kept`
-/// counts rows as +1.0 increments (exact up to 2⁵³), and `nonfin`
-/// accumulates `(r0 − r0) + (r1 − r1)` — +0.0 for finite rows, NaN
-/// exactly when a row overflowed (the scalar path's row-validation
-/// verdict). LLVM cannot fold `x − x` to zero without fast-math, so the
-/// check survives optimization.
+/// `nnls2` sums them, so every f64 is bit-identical. The kept-row count
+/// rides along as an f64 lane of +1.0 increments (exact up to 2⁵³).
 fn pass_a_scalar(scratch: &BatchScratch, width: usize, beta2: &[f64; LANES]) -> PassA {
     let mut kept = [0.0_f64; LANES];
-    let mut nonfin = [0.0_f64; LANES];
     let mut g00 = [0.0_f64; LANES];
     let mut g01 = [0.0_f64; LANES];
     let mut g11 = [0.0_f64; LANES];
@@ -683,12 +691,6 @@ fn pass_a_scalar(scratch: &BatchScratch, width: usize, beta2: &[f64; LANES]) -> 
         for j in 0..LANES {
             let (r0, r1, y, keep) = build_row(ks[j], ls[j], beta2[j]);
             kept[j] += if keep { 1.0 } else { 0.0 };
-            // `x − x` is the NaN probe, not a typo: +0.0 for finite x,
-            // NaN otherwise, and LLVM cannot fold it without fast-math.
-            #[allow(clippy::eq_op)]
-            {
-                nonfin[j] += (r0 - r0) + (r1 - r1);
-            }
             g00[j] += r0 * r0;
             g01[j] += r0 * r1;
             g11[j] += r1 * r1;
@@ -697,8 +699,7 @@ fn pass_a_scalar(scratch: &BatchScratch, width: usize, beta2: &[f64; LANES]) -> 
         }
     }
     PassA {
-        kept: std::array::from_fn(|j| kept[j] as u64),
-        bad: std::array::from_fn(|j| nonfin[j] != 0.0),
+        kept: kept.map(|c| c as u64),
         g00,
         g01,
         g11,
@@ -720,7 +721,9 @@ fn pass_a_scalar(scratch: &BatchScratch, width: usize, beta2: &[f64; LANES]) -> 
 /// accumulator sums in the same ascending-sample order. The only
 /// difference from the scalar path is that masked-out products are
 /// computed and then discarded — their lanes are overwritten with +0.0
-/// by `maskz_mov`, exactly the scalar `else` value.
+/// by `maskz_mov`, exactly the scalar `else` value. The kept count is a
+/// masked add, which leaves unkept lanes as they were — bitwise the
+/// scalar path's `+ 0.0` on a count that is never `-0.0`.
 ///
 /// # Safety
 ///
@@ -739,7 +742,6 @@ unsafe fn pass_a_avx512(scratch: &BatchScratch, width: usize, beta2: &[f64; LANE
         let eps = _mm512_set1_pd(1e-9);
         let one = _mm512_set1_pd(1.0);
         let mut kept = _mm512_setzero_pd();
-        let mut nonfin = _mm512_setzero_pd();
         let mut g00 = _mm512_setzero_pd();
         let mut g01 = _mm512_setzero_pd();
         let mut g11 = _mm512_setzero_pd();
@@ -757,11 +759,7 @@ unsafe fn pass_a_avx512(scratch: &BatchScratch, width: usize, beta2: &[f64; LANE
             let r0 = _mm512_maskz_mov_pd(m, _mm512_mul_pd(w, ks));
             let r1 = _mm512_maskz_mov_pd(m, w);
             let y = _mm512_maskz_mov_pd(m, gap);
-            kept = _mm512_add_pd(kept, _mm512_maskz_mov_pd(m, one));
-            nonfin = _mm512_add_pd(
-                nonfin,
-                _mm512_add_pd(_mm512_sub_pd(r0, r0), _mm512_sub_pd(r1, r1)),
-            );
+            kept = _mm512_mask_add_pd(kept, m, kept, one);
             g00 = _mm512_add_pd(g00, _mm512_mul_pd(r0, r0));
             g01 = _mm512_add_pd(g01, _mm512_mul_pd(r0, r1));
             g11 = _mm512_add_pd(g11, _mm512_mul_pd(r1, r1));
@@ -770,10 +768,8 @@ unsafe fn pass_a_avx512(scratch: &BatchScratch, width: usize, beta2: &[f64; LANE
             off += LANES;
         }
         let mut keptv = [0.0_f64; LANES];
-        let mut nonfinv = [0.0_f64; LANES];
         let mut out = PassA {
             kept: [0; LANES],
-            bad: [false; LANES],
             g00: [0.0; LANES],
             g01: [0.0; LANES],
             g11: [0.0; LANES],
@@ -781,14 +777,12 @@ unsafe fn pass_a_avx512(scratch: &BatchScratch, width: usize, beta2: &[f64; LANE
             rhs1: [0.0; LANES],
         };
         _mm512_storeu_pd(keptv.as_mut_ptr(), kept);
-        _mm512_storeu_pd(nonfinv.as_mut_ptr(), nonfin);
         _mm512_storeu_pd(out.g00.as_mut_ptr(), g00);
         _mm512_storeu_pd(out.g01.as_mut_ptr(), g01);
         _mm512_storeu_pd(out.g11.as_mut_ptr(), g11);
         _mm512_storeu_pd(out.rhs0.as_mut_ptr(), rhs0);
         _mm512_storeu_pd(out.rhs1.as_mut_ptr(), rhs1);
-        out.kept = std::array::from_fn(|j| keptv[j] as u64);
-        out.bad = std::array::from_fn(|j| nonfinv[j] != 0.0);
+        out.kept = keptv.map(|c| c as u64);
         out
     }
 }
@@ -806,31 +800,64 @@ fn pass_a(scratch: &BatchScratch, width: usize, beta2: &[f64; LANES], use_avx512
     pass_a_scalar(scratch, width, beta2)
 }
 
-/// Dual sweep in the form `use_avx512` selects (the portable one on
-/// CPUs without avx512f).
-#[inline(always)]
-fn dual_sweep(
+/// Which lanes have a kept row with a non-finite entry — the scalar
+/// path's row validation, which fails such a solve. `needs` marks the
+/// lanes whose verdict is read.
+///
+/// Certified from pass A's Gram diagonal: a kept row is `(w·k, w)` with
+/// `w, k ≥ 0`, so a non-finite entry (`w = ∞`, `w·k = ∞`, or NaN from
+/// `∞·0`) has a square of `+∞` or NaN, and a sum of non-negative terms
+/// that contains one is non-finite. A lane with finite `g00` and `g11`
+/// therefore has finite rows. The converse fails — finite rows whose
+/// squares overflow leave the diagonal infinite with every row finite —
+/// so a wave with a needed lane whose diagonal is non-finite runs the
+/// exact [`overflow_probe`] sweep instead (which, by the same argument,
+/// reads `false` for every finite-diagonal lane).
+fn overflowed_rows(
     scratch: &BatchScratch,
     width: usize,
     beta2: &[f64; LANES],
-    x0: &[f64; LANES],
-    x1: &[f64; LANES],
-    use_avx512: bool,
-) -> ([f64; LANES], [f64; LANES]) {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx512 && std::arch::is_x86_feature_detected!("avx512f") {
-        // SAFETY: avx512f was just detected.
-        return unsafe { dual_sweep_avx512(scratch, width, beta2, x0, x1) };
+    pa: &PassA,
+    needs: &[bool; LANES],
+) -> [bool; LANES] {
+    let certified =
+        (0..LANES).all(|j| !needs[j] || (pa.g00[j].is_finite() && pa.g11[j].is_finite()));
+    if certified {
+        [false; LANES]
+    } else {
+        overflow_probe(scratch, width, beta2)
     }
-    let _ = use_avx512;
-    dual_sweep_scalar(scratch, width, beta2, x0, x1)
 }
 
-/// Dual sweep, portable form: `w = Aᵀ(y − A·x)` per lane, fused rowwise
-/// in `nnls2`'s exact order (`acc` starts at `+0.0`, so a `-0.0`
+/// Exact row-overflow probe, portable (it runs only on waves the Gram
+/// cannot certify, see [`overflowed_rows`]): accumulates
+/// `(r0 − r0) + (r1 − r1)` per lane — +0.0 for finite rows, NaN once a
+/// row has a non-finite entry. LLVM cannot fold `x − x` to zero without
+/// fast-math, so the check survives optimization.
+fn overflow_probe(scratch: &BatchScratch, width: usize, beta2: &[f64; LANES]) -> [bool; LANES] {
+    let mut nonfin = [0.0_f64; LANES];
+    for (ks, ls) in scratch.ks[..width]
+        .chunks_exact(LANES)
+        .zip(scratch.ls[..width].chunks_exact(LANES))
+    {
+        for j in 0..LANES {
+            let (r0, r1, _, _) = build_row(ks[j], ls[j], beta2[j]);
+            // `x − x` is the NaN probe, not a typo.
+            #[allow(clippy::eq_op)]
+            {
+                nonfin[j] += (r0 - r0) + (r1 - r1);
+            }
+        }
+    }
+    nonfin.map(|v| v != 0.0)
+}
+
+/// Dual sweep, portable (it runs only on rounds the Gram cannot
+/// certify, see [`certified_duals`]): `w = Aᵀ(y − A·x)` per lane, fused
+/// rowwise in `nnls2`'s exact order (`acc` starts at `+0.0`, so a `-0.0`
 /// product still yields `+0.0`), with each row rebuilt by
 /// [`build_row`] instead of read back from a stored copy.
-fn dual_sweep_scalar(
+fn dual_sweep(
     scratch: &BatchScratch,
     width: usize,
     beta2: &[f64; LANES],
@@ -858,61 +885,81 @@ fn dual_sweep_scalar(
     (w0, w1)
 }
 
-/// Dual sweep with explicit AVX-512 intrinsics: `dual_sweep_scalar`'s
-/// dataflow op for op, rows rebuilt as in `pass_a_avx512` (same
-/// bit-identity argument; `acc` is an explicit `+0.0 + r0·x0`).
+/// Upper limit on `m` and `g_pp·x_p²` in [`certify_entry`]. Below it
+/// every intermediate of the fused dual sweep is finite: each
+/// `r_p·x_p ≤ √(g_pp·x_p²)` and each term and partial sum is at most
+/// ≈ `m`, all far below `f64::MAX`.
+const CERT_LIMIT: f64 = 1e300;
+
+/// Pass B's dual, read from the cached Gram, when that decides every
+/// running lane's next entering-column scan exactly as the fused
+/// [`dual_sweep`] would; `None` when some lane needs the real sweep.
 ///
-/// # Safety
-///
-/// The CPU must support avx512f.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn dual_sweep_avx512(
-    scratch: &BatchScratch,
-    width: usize,
-    beta2: &[f64; LANES],
+/// A running lane always has a column free to enter (`advance_lane`
+/// stops the lane once every column is passive or rejected), so its
+/// passive set holds at most one column:
+/// * `P = ∅` means `x = 0`, where the fused sweep is pass A's RHS bit
+///   for bit (`acc = +0.0`, `resid = y`) — so every lane's first scan is
+///   free.
+/// * `P = {p}`: the scan reads only `w_o > tol` for the other column
+///   `o`, which [`certify_entry`]'s stand-in answers as the sweep
+///   would; `w_p` is never read.
+fn certified_duals(
+    st: &[LaneNnls; LANES],
     x0: &[f64; LANES],
     x1: &[f64; LANES],
-) -> ([f64; LANES], [f64; LANES]) {
-    use std::arch::x86_64::*;
-    assert!(width.is_multiple_of(LANES));
-    assert!(scratch.ks.len() >= width && scratch.ls.len() >= width);
-    // SAFETY: as in `pass_a_avx512` — asserted above, `ks`/`ls` hold at
-    // least `width` elements and `width` is a multiple of one zmm's 8
-    // lanes.
-    unsafe {
-        let b2 = _mm512_loadu_pd(beta2.as_ptr());
-        let xv0 = _mm512_loadu_pd(x0.as_ptr());
-        let xv1 = _mm512_loadu_pd(x1.as_ptr());
-        let eps = _mm512_set1_pd(1e-9);
-        let zero = _mm512_setzero_pd();
-        let mut w0 = _mm512_setzero_pd();
-        let mut w1 = _mm512_setzero_pd();
-        let ks_p = scratch.ks.as_ptr();
-        let ls_p = scratch.ls.as_ptr();
-        let mut off = 0;
-        while off < width {
-            let ks = _mm512_loadu_pd(ks_p.add(off));
-            let ls = _mm512_loadu_pd(ls_p.add(off));
-            let gap = _mm512_sub_pd(ls, b2);
-            let m: __mmask8 = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(gap, eps);
-            let w = _mm512_mul_pd(gap, gap);
-            let r0 = _mm512_maskz_mov_pd(m, _mm512_mul_pd(w, ks));
-            let r1 = _mm512_maskz_mov_pd(m, w);
-            let y = _mm512_maskz_mov_pd(m, gap);
-            let acc = _mm512_add_pd(zero, _mm512_mul_pd(r0, xv0));
-            let acc = _mm512_add_pd(acc, _mm512_mul_pd(r1, xv1));
-            let resid = _mm512_sub_pd(y, acc);
-            w0 = _mm512_add_pd(w0, _mm512_mul_pd(r0, resid));
-            w1 = _mm512_add_pd(w1, _mm512_mul_pd(r1, resid));
-            off += LANES;
+    pa: &PassA,
+    n: usize,
+    tol: f64,
+) -> Option<([f64; LANES], [f64; LANES])> {
+    let mut w0 = [0.0_f64; LANES];
+    let mut w1 = [0.0_f64; LANES];
+    for j in 0..LANES {
+        if !st[j].running {
+            continue;
         }
-        let mut out0 = [0.0_f64; LANES];
-        let mut out1 = [0.0_f64; LANES];
-        _mm512_storeu_pd(out0.as_mut_ptr(), w0);
-        _mm512_storeu_pd(out1.as_mut_ptr(), w1);
-        (out0, out1)
+        match st[j].passive {
+            [false, false] => {
+                w0[j] = pa.rhs0[j];
+                w1[j] = pa.rhs1[j];
+            }
+            [true, false] => {
+                w1[j] = certify_entry(pa.rhs1[j], pa.g01[j], pa.g00[j], x0[j], n, tol)?;
+            }
+            [false, true] => {
+                w0[j] = certify_entry(pa.rhs0[j], pa.g01[j], pa.g11[j], x1[j], n, tol)?;
+            }
+            [true, true] => return None,
+        }
     }
+    Some((w0, w1))
+}
+
+/// Stand-in for the dual entry `w_o = Σ r_o·(y − r_p·x_p)` of the column
+/// outside a one-column passive set `{p}` of an `n`-slot wave: returns
+/// `w̃ = rhs_o − g_op·x_p` when `w̃` and the fused sweep's `w_o` are
+/// certainly on the same side of `tol`, else `None`.
+///
+/// Kept rows are non-negative (`r0 = w·k`, `r1 = w`, `y = gap > 1e-9`),
+/// dropped and padded rows are exact `+0.0`, and `x_p ≥ 0`. So the sweep
+/// and `w̃` each lie within `γ_{n+3}·M` (plus underflow terms) of the
+/// exact dual, where `M = Σ r_o·(y + r_p·x_p)`, which the computed
+/// `m = rhs_o + g_op·x_p` bounds within a factor `1 + γ_{n+2}`. The
+/// margin `E` is 4× the relative part of that bound; its absolute part
+/// covers underflow — subnormal products in the sweep, and a subnormal
+/// Gram product scaled by `x_p`. DESIGN §12 has the derivation. NaN
+/// fails every comparison, so a non-finite input falls back too.
+#[inline(always)]
+fn certify_entry(rhs_o: f64, g_op: f64, g_pp: f64, x_p: f64, n: usize, tol: f64) -> Option<f64> {
+    let t = g_op * x_p;
+    let w = rhs_o - t;
+    let m = rhs_o + t;
+    if !(x_p >= 0.0 && m <= CERT_LIMIT && g_pp * (x_p * x_p) <= CERT_LIMIT) {
+        return None;
+    }
+    let n = (n + 8) as f64;
+    let e = 4.0 * n * f64::EPSILON * m + n * f64::MIN_POSITIVE * (1.0 + x_p);
+    (w - e > tol || w + e <= tol).then_some(w)
 }
 
 /// Executes one wave of β₂ candidate evaluations as SoA passes:
@@ -980,30 +1027,21 @@ fn eval_wave_body(
     // garbage against β₂ = 0 that nothing reads; padded slots take the
     // gap ≤ 1e-9 skip (see module docs).
     let width = max_len * LANES;
-    let PassA {
-        kept,
-        bad,
-        g00,
-        g01,
-        g11,
-        rhs0,
-        rhs1,
-    } = pass_a(scratch, width, &beta2, use_avx512);
+    let pa = pass_a(scratch, width, &beta2, use_avx512);
 
     // Per-lane NNLS admission, with the scalar path's exact telemetry:
     // fewer than 2 rows fails silently (before any counter), a
     // non-finite row counts a solve *and* a failure. Post-preprocessing
     // losses are always finite, so `y` never trips the scalar path's
     // rhs check — only row overflow (`w·k → ∞`) can, which `bad` is.
+    let needs: [bool; LANES] = std::array::from_fn(|j| active[j] && pa.kept[j] >= 2);
+    let bad = overflowed_rows(scratch, width, &beta2, &pa, &needs);
     let mut out = [WaveOut::Failed; LANES];
     let mut st: [LaneNnls; LANES] = Default::default();
     let mut ran = [false; LANES];
     let opts = NnlsOptions::default();
     for j in 0..LANES {
-        if !active[j] {
-            continue;
-        }
-        if kept[j] < 2 {
+        if !needs[j] {
             continue; // out[j] stays Failed, no counters — as the scalar path
         }
         lanes[j].tel.incr("nnls.solves");
@@ -1015,24 +1053,22 @@ fn eval_wave_body(
         ran[j] = true;
     }
 
-    // Pass B — lockstep Lawson–Hanson: one vectorized dual sweep per
-    // outer iteration (rows rebuilt from `ks`/`ls`, see `build_row`),
-    // then O(1) per-lane active-set advancement from the cached Gram.
-    // Lanes that converge (or fail) sit out the remaining sweeps with x
-    // frozen, contributing dead work only.
+    // Pass B — lockstep Lawson–Hanson: each round of entering-column
+    // scans reads the dual off the cached Gram where that is certified
+    // (`certified_duals`; always for the first round, where x = 0),
+    // else from one vectorized dual sweep (rows rebuilt from `ks`/`ls`,
+    // see `build_row`); then O(1) per-lane active-set advancement from
+    // the cached Gram. Lanes that converge (or fail) sit out the
+    // remaining rounds with x frozen, contributing dead work only.
     let mut x0 = [0.0_f64; LANES];
     let mut x1 = [0.0_f64; LANES];
-    let mut first_sweep = true;
     while st.iter().any(|l| l.running) {
-        let (w0, w1) = if first_sweep {
-            // With x = 0 the fused rowwise dual degenerates term by
-            // term to the RHS accumulation pass A already did —
-            // `acc = r·0 + r·0 = +0.0`, `resid = y − 0.0 = y` bitwise —
-            // so the first sweep of every wave is free.
-            first_sweep = false;
-            (rhs0, rhs1)
-        } else {
-            dual_sweep(scratch, width, &beta2, &x0, &x1, use_avx512)
+        let certified = certified_duals(&st, &x0, &x1, &pa, max_len, opts.tolerance);
+        #[cfg(test)]
+        tests::tally_dual_path(certified.is_some());
+        let (w0, w1) = match certified {
+            Some(w) => w,
+            None => dual_sweep(scratch, width, &beta2, &x0, &x1),
         };
         for j in 0..LANES {
             if st[j].running {
@@ -1041,8 +1077,8 @@ fn eval_wave_body(
                     &mut x0[j],
                     &mut x1[j],
                     [w0[j], w1[j]],
-                    [g00[j], g01[j], g11[j]],
-                    [rhs0[j], rhs1[j]],
+                    [pa.g00[j], pa.g01[j], pa.g11[j]],
+                    [pa.rhs0[j], pa.rhs1[j]],
                     lens[j],
                     opts,
                 );
@@ -1130,12 +1166,13 @@ fn eval_wave_body(
     out
 }
 
-/// Advances one lane's Lawson–Hanson state after a dual sweep — the
-/// section of [`crate::nnls::nnls2`]'s outer loop between two dual
-/// recomputations, with every subproblem solved from the cached Gram.
-/// Rejecting an entering column leaves `x` unchanged, so the dual is
-/// unchanged too and the scalar path's recompute-and-rescan collapses
-/// into the `continue` here.
+/// Advances one lane's Lawson–Hanson state after a dual recompute — the
+/// section of [`crate::nnls::nnls2`]'s outer loop between two of them,
+/// with every subproblem solved from the cached Gram. `w` is the swept
+/// dual or [`certified_duals`]' stand-in, which every entering-column
+/// scan here reads alike. Rejecting an entering column leaves `x`
+/// unchanged, so the dual is unchanged too and the scalar path's
+/// recompute-and-rescan collapses into the `continue` here.
 #[allow(clippy::too_many_arguments)]
 fn advance_lane(
     st: &mut LaneNnls,
@@ -1280,6 +1317,30 @@ fn advance_lane(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Pass B dual rounds run on this test thread:
+        /// `[certified from the Gram, swept]`.
+        static DUAL_PATHS: Cell<[u64; 2]> = const { Cell::new([0; 2]) };
+    }
+
+    /// Counts one Pass B dual round (`eval_wave_body` calls it in test
+    /// builds only).
+    pub(super) fn tally_dual_path(certified: bool) {
+        DUAL_PATHS.with(|c| {
+            let mut v = c.get();
+            v[usize::from(!certified)] += 1;
+            c.set(v);
+        });
+    }
+
+    /// Returns and resets this thread's `[certified, swept]` tally.
+    fn take_dual_paths() -> [u64; 2] {
+        DUAL_PATHS.with(|c| c.replace([0; 2]))
+    }
 
     /// Comparable image of one lane's wave outcome: tag + every f64's bits.
     fn key(out: &WaveOut) -> (u8, [u64; 5]) {
@@ -1296,7 +1357,9 @@ mod tests {
     /// Per-lane sample histories: ragged lengths (one lane empty, so all
     /// of its slots are padding), curves whose NNLS solutions take two
     /// columns, one column (rising and flat curves), and one lane whose
-    /// rows overflow.
+    /// rows overflow. The flat lane is long enough that its one-column
+    /// solution's `w₀ ≈ 0` lies inside the certificate's margin of
+    /// `tol`, so some waves fall back to the dual sweep.
     fn lane_histories() -> Vec<Vec<(f64, f64)>> {
         let curve = |n: usize, b0: f64, b1: f64, b2: f64| -> Vec<(f64, f64)> {
             (0..n)
@@ -1312,7 +1375,7 @@ mod tests {
             curve(5, 0.8, 2.0, 0.05),
             wobbly,
             (0..90).map(|k| (k as f64, 1.0 + 0.01 * k as f64)).collect(),
-            (0..40).map(|k| (k as f64, 0.7)).collect(),
+            (0..400).map(|k| (k as f64, 0.7)).collect(),
             vec![],
             (0..12)
                 .map(|k| (k as f64, if k == 6 { 1e200 } else { 2.0 }))
@@ -1321,10 +1384,9 @@ mod tests {
         ]
     }
 
-    /// `lane_histories` gathered into lane-major scratch, with each
-    /// lane's length and grid top `hi`.
-    fn gathered() -> (BatchScratch, usize, [usize; LANES], [f64; LANES]) {
-        let hists = lane_histories();
+    /// `hists` gathered into lane-major scratch, with each lane's length
+    /// and grid top `hi`.
+    fn gather(hists: &[Vec<(f64, f64)>]) -> (BatchScratch, usize, [usize; LANES], [f64; LANES]) {
         let mut scratch = BatchScratch::new();
         let max_len = hists.iter().map(Vec::len).max().unwrap_or(0);
         scratch.ks.resize(max_len * LANES, 0.0);
@@ -1361,7 +1423,7 @@ mod tests {
     /// `j` evaluates `β₂ = multiplier · hiⱼ`; lanes listed in `inactive`
     /// sit the wave out.
     fn waves(run: &WaveFn) -> (Vec<(u8, [u64; 5])>, optimus_telemetry::TelemetrySummary) {
-        let (scratch, max_len, lens, his) = gathered();
+        let (scratch, max_len, lens, his) = gather(&lane_histories());
         let tel = Telemetry::enabled();
         let fitter = LossCurveFitter::new().with_telemetry(tel.clone());
         let mut memos: Vec<Vec<(u64, Option<LossModel>)>> = vec![Vec::new(); LANES];
@@ -1395,12 +1457,20 @@ mod tests {
     /// The portable passes (`eval_wave_body(.., false)`) and the AVX-512
     /// passes (`eval_wave_avx512`, i.e. `eval_wave_body(.., true)` under
     /// the AVX-512 codegen production uses) must agree bit for bit on
-    /// outcomes, solutions and counters. Without avx512f only the
-    /// portable form runs; the outcome-kind coverage check holds anyway.
+    /// outcomes, solutions and counters — over waves whose dual rounds
+    /// are certified from the Gram and waves that fall back to the
+    /// sweep. Without avx512f only the portable form runs; the coverage
+    /// checks hold anyway.
     #[test]
     fn portable_and_avx512_waves_are_bit_identical() {
+        take_dual_paths();
         let (portable, portable_tel) =
             waves(&|s, n, lens, reqs, lanes| eval_wave_body(s, n, lens, reqs, lanes, false));
+        let [certified, swept] = take_dual_paths();
+        assert!(
+            certified > 0 && swept > 0,
+            "waves must take both dual paths: {certified} certified, {swept} swept rounds"
+        );
         for tag in 0..3 {
             assert!(
                 portable.iter().any(|&(t, _)| t == tag),
@@ -1413,36 +1483,29 @@ mod tests {
             let (simd, simd_tel) = waves(&|s, n, lens, reqs, lanes| unsafe {
                 eval_wave_avx512(s, n, lens, reqs, lanes)
             });
+            assert_eq!(take_dual_paths(), [certified, swept], "dual paths diverged");
             assert_eq!(portable, simd, "wave outcomes diverged");
             assert_eq!(portable_tel, simd_tel, "wave telemetry diverged");
         }
     }
 
-    /// Pass A and the dual sweep compared directly, portable vs
-    /// AVX-512, on every f64 they return — the wave-level test sees the
-    /// dual only through the active-set decisions it drives.
+    /// Pass A compared directly, portable vs AVX-512, on every f64 it
+    /// returns — the wave-level test sees the Gram only through the
+    /// solutions it drives.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn portable_and_avx512_passes_are_bit_identical() {
         if !std::arch::is_x86_feature_detected!("avx512f") {
             return;
         }
-        let (scratch, max_len, _, his) = gathered();
+        let (scratch, max_len, _, his) = gather(&lane_histories());
         let width = max_len * LANES;
         let bits = |v: [f64; LANES]| v.map(f64::to_bits);
-        let xs: [([f64; LANES], [f64; LANES]); 3] = [
-            ([-0.0; LANES], [0.0; LANES]),
-            ([0.05; LANES], [1.0; LANES]),
-            (
-                std::array::from_fn(|j| 1e-3 * j as f64),
-                std::array::from_fn(|j| 0.5 + j as f64),
-            ),
-        ];
         for mult in [0.0, 0.3, 0.97, 1.0] {
             let beta2: [f64; LANES] = std::array::from_fn(|j| mult * his[j]);
             let p = pass_a(&scratch, width, &beta2, false);
             let v = pass_a(&scratch, width, &beta2, true);
-            assert_eq!((p.kept, p.bad), (v.kept, v.bad), "admission at {mult}");
+            assert_eq!(p.kept, v.kept, "kept rows at {mult}");
             for (a, b) in [
                 (p.g00, v.g00),
                 (p.g01, v.g01),
@@ -1452,12 +1515,309 @@ mod tests {
             ] {
                 assert_eq!(bits(a), bits(b), "pass A at {mult}");
             }
-            for (x0, x1) in &xs {
-                let (p0, p1) = dual_sweep(&scratch, width, &beta2, x0, x1, false);
-                let (v0, v1) = dual_sweep(&scratch, width, &beta2, x0, x1, true);
-                assert_eq!(bits(p0), bits(v0), "dual w0 at {mult}");
-                assert_eq!(bits(p1), bits(v1), "dual w1 at {mult}");
+        }
+    }
+
+    /// The scalar path's row-validation verdict, written directly: does
+    /// some kept row have a non-finite entry?
+    fn reference_bad(hist: &[(f64, f64)], beta2: f64) -> bool {
+        hist.iter().any(|&(k, l)| {
+            let (r0, r1, _, keep) = build_row(k, l, beta2);
+            keep && !(r0.is_finite() && r1.is_finite())
+        })
+    }
+
+    /// `overflowed_rows` (Gram-certified, probe on a non-finite
+    /// diagonal) returns the old per-row probe's verdict on every lane
+    /// it is asked about — including finite rows whose squares overflow
+    /// the Gram, which a Gram-only verdict would wrongly fail — and
+    /// skips the probe sweep when every asked lane's diagonal is finite.
+    #[test]
+    fn overflow_admission_matches_the_row_probe() {
+        let normal: Vec<(f64, f64)> = (0..30)
+            .map(|k| (k as f64, 1.0 / (0.1 * k as f64 + 1.0)))
+            .collect();
+        let with = |k: f64, l: f64| {
+            let mut h = normal.clone();
+            h[10] = (k, l);
+            h
+        };
+        let hists = vec![
+            with(10.0, 1e154), // w finite, w·k = ∞
+            with(1e10, 1e80),  // finite rows, both squares overflow
+            with(1e30, 1e70),  // finite rows, only (w·k)² overflows
+            with(10.0, 1e200), // w = ∞
+            with(0.0, 1e200),  // w·k = ∞·0 = NaN
+            normal.clone(),
+            // finite rows whose squares are finite but sum past f64::MAX
+            (0..30)
+                .map(|k| (k as f64, if k % 10 == 3 { 1e77 } else { 1.0 }))
+                .collect(),
+            (0..30)
+                .map(|k| (2f64.powi(50) + k as f64, 1.0 / (1e-15 * k as f64 + 1.0)))
+                .collect(),
+        ];
+        let (scratch, max_len, _, his) = gather(&hists);
+        let width = max_len * LANES;
+        let mut probed = 0;
+        let mut certified = 0;
+        for mult in [0.0, 0.5, 0.999] {
+            let beta2: [f64; LANES] = std::array::from_fn(|j| mult * his[j]);
+            let pa = pass_a(&scratch, width, &beta2, false);
+            let oracle: [bool; LANES] = std::array::from_fn(|j| reference_bad(&hists[j], beta2[j]));
+            for needs in [[true; LANES], std::array::from_fn(|j| j == 5 || j == 7)] {
+                let needs: [bool; LANES] = std::array::from_fn(|j| needs[j] && pa.kept[j] >= 2);
+                let finite = (0..LANES)
+                    .all(|j| !needs[j] || (pa.g00[j].is_finite() && pa.g11[j].is_finite()));
+                if finite {
+                    certified += 1;
+                } else {
+                    probed += 1;
+                }
+                let bad = overflowed_rows(&scratch, width, &beta2, &pa, &needs);
+                for j in (0..LANES).filter(|&j| needs[j]) {
+                    assert_eq!(bad[j], oracle[j], "lane {j} at β₂ multiplier {mult}");
+                }
+            }
+            assert!(
+                oracle[0] && oracle[3] && oracle[4],
+                "overflow lanes at {mult}"
+            );
+            assert!(
+                !oracle[1] && !oracle[2] && !oracle[6],
+                "finite-row lanes at {mult}"
+            );
+            assert!(
+                !pa.g00[1].is_finite() && !pa.g00[2].is_finite() && !pa.g11[6].is_finite(),
+                "square-overflow lanes must overflow the Gram at {mult}"
+            );
+        }
+        assert!(
+            probed > 0 && certified > 0,
+            "{probed} probed, {certified} certified"
+        );
+    }
+
+    /// History families for the certificate property test.
+    const FAMILIES: usize = 6;
+
+    /// One lane's history of `len` samples from family `f`.
+    fn planted_history(f: usize, len: usize, rng: &mut ChaCha8Rng) -> Vec<(f64, f64)> {
+        let b0 = 10f64.powf(rng.gen_range(-4.0..0.0));
+        let b1 = rng.gen_range(0.5..3.0);
+        let b2 = rng.gen_range(0.0..0.5);
+        let noise = rng.gen_range(0.0..0.03);
+        (0..len)
+            .map(|s| {
+                let k = s as f64;
+                let jitter = 1.0 + noise * rng.gen_range(-1.0..1.0);
+                match f {
+                    // Decaying curves with noise.
+                    0 => (k, (1.0 / (b0 * k + b1) + b2) * jitter),
+                    // Flat: the fit sits on the β₁ column and w₀ ≈ 0.
+                    1 => (k, b1),
+                    // Huge step counts.
+                    2 => (2f64.powi(45) + k * 1e9, 1.0 / (b0 * k + b1) + b2),
+                    // Tiny steps and small gaps: subnormal row entries
+                    // and products in the Gram and the sweep.
+                    3 => (k * 1e-300, 1e-4 * (1.0 + 1.0 / (k + 1.0)) * jitter),
+                    // Gaps near the 1e-9 keep threshold.
+                    4 => (k, b2 + if s % 2 == 0 { 2e-9 } else { 1e-9 }),
+                    // Rising curves.
+                    _ => (k, b2 + 0.01 * k * jitter),
+                }
+            })
+            .collect()
+    }
+
+    /// Property: wherever `certified_duals` answers, it decides every
+    /// entering-column test exactly as the fused dual sweep — over random lanes, planted families (flat
+    /// histories with `w_o ≈ 0`, huge `k`, subnormal products, gaps at
+    /// the keep threshold) and `x_p` chosen as the real one-column
+    /// solution, within a few ulps of the `w̃ = tol` crossing, or at
+    /// random scale. With `P = ∅` it must return the swept dual bit for
+    /// bit. Both the decided and the fallback branch must be hit.
+    #[test]
+    fn certified_entering_tests_decide_as_the_sweep() {
+        let tol = NnlsOptions::default().tolerance;
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5eed_cafe);
+        let (mut decided, mut undecided, mut empty) = (0u64, 0u64, 0u64);
+        for case in 0..400 {
+            let hists: Vec<Vec<(f64, f64)>> = (0..LANES)
+                .map(|_| {
+                    let f = rng.gen_range(0..FAMILIES);
+                    let len = rng.gen_range(2..120);
+                    planted_history(f, len, &mut rng)
+                })
+                .collect();
+            let (scratch, max_len, _, his) = gather(&hists);
+            let width = max_len * LANES;
+            let beta2: [f64; LANES] =
+                std::array::from_fn(|j| his[j] * rng.gen_range(0.0..1.0_f64).min(0.999_999));
+            let pa = pass_a(&scratch, width, &beta2, false);
+            let mut x0 = [0.0_f64; LANES];
+            let mut x1 = [0.0_f64; LANES];
+            let mut passive = [[false; 2]; LANES];
+            for j in 0..LANES {
+                let mode = rng.gen_range(0..4);
+                if mode == 0 || pa.kept[j] < 2 {
+                    continue; // P = ∅, x = 0
+                }
+                let p = rng.gen_range(0..2usize);
+                let (rhs_o, rhs_p, g_pp) = if p == 0 {
+                    (pa.rhs1[j], pa.rhs0[j], pa.g00[j])
+                } else {
+                    (pa.rhs0[j], pa.rhs1[j], pa.g11[j])
+                };
+                let g_op = pa.g01[j];
+                let x = match mode {
+                    1 => rhs_p / g_pp,
+                    2 => {
+                        let mut x = (rhs_o - tol) / g_op;
+                        for _ in 0..rng.gen_range(0..48) {
+                            x = if rng.gen::<bool>() {
+                                x.next_up()
+                            } else {
+                                x.next_down()
+                            };
+                        }
+                        x
+                    }
+                    _ => 10f64.powf(rng.gen_range(-11.0..160.0)),
+                };
+                if !(x > tol && x.is_finite()) {
+                    continue; // not a passive value: leave P = ∅
+                }
+                passive[j][p] = true;
+                if p == 0 {
+                    x0[j] = x;
+                } else {
+                    x1[j] = x;
+                }
+            }
+            let (s0, s1) = dual_sweep(&scratch, width, &beta2, &x0, &x1);
+            for j in (0..LANES).filter(|&j| pa.kept[j] >= 2) {
+                let mut st: [LaneNnls; LANES] = Default::default();
+                st[j].running = true;
+                st[j].passive = passive[j];
+                let cert = certified_duals(&st, &x0, &x1, &pa, max_len, tol);
+                match passive[j] {
+                    [false, false] => {
+                        let (w0, w1) = cert.expect("x = 0 is always certified");
+                        assert_eq!(
+                            (w0[j].to_bits(), w1[j].to_bits()),
+                            (s0[j].to_bits(), s1[j].to_bits()),
+                            "case {case} lane {j}: P = ∅ must be the sweep bit for bit"
+                        );
+                        empty += 1;
+                    }
+                    pas => {
+                        let o = usize::from(pas[0]);
+                        let swept = [s0[j], s1[j]][o];
+                        match cert {
+                            Some((w0, w1)) => {
+                                let w = [w0[j], w1[j]][o];
+                                assert_eq!(
+                                    w > tol,
+                                    swept > tol,
+                                    "case {case} lane {j}: certified w{o} = {w:e}, swept {swept:e}, x = ({:e}, {:e})",
+                                    x0[j],
+                                    x1[j]
+                                );
+                                decided += 1;
+                            }
+                            None => undecided += 1,
+                        }
+                    }
+                }
             }
         }
+        assert!(
+            decided > 0 && undecided > 0 && empty > 0,
+            "branches: {decided} decided, {undecided} undecided, {empty} with P = ∅"
+        );
+    }
+
+    /// A planted lane where rounding puts `w̃ = rhs_o − g_op·x_p` and
+    /// the swept dual on opposite sides of `tol`: the certificate must
+    /// fall back there. A zero margin, or taking the Gram's verdict
+    /// without the fallback, decides this lane wrongly.
+    #[test]
+    fn certificate_falls_back_where_rounding_straddles_tol() {
+        let tol = NnlsOptions::default().tolerance;
+        let mut hist: Vec<(f64, f64)> = (0..300)
+            .map(|k| (k as f64, 1.0 / (0.02 * k as f64 + 1.0) + 0.1))
+            .collect();
+        for (s, (_, l)) in hist.iter_mut().enumerate() {
+            *l *= 1.0 + 0.01 * ((s * 7919 % 13) as f64 - 6.0);
+        }
+        let hists = vec![hist; LANES];
+        let (scratch, max_len, _, his) = gather(&hists);
+        let width = max_len * LANES;
+        let beta2: [f64; LANES] = std::array::from_fn(|j| his[j] * (0.2 + 0.1 * j as f64));
+        let pa = pass_a(&scratch, width, &beta2, false);
+        let mut witnesses = 0;
+        for p in 0..2 {
+            let o = 1 - p;
+            let rhs_o = [pa.rhs0, pa.rhs1][o];
+            let mut x: [f64; LANES] = std::array::from_fn(|j| (rhs_o[j] - tol) / pa.g01[j]);
+            for _ in 0..64 {
+                x = x.map(f64::next_down);
+            }
+            for _ in 0..128 {
+                let zeros = [0.0_f64; LANES];
+                let (x0, x1) = if p == 0 { (x, zeros) } else { (zeros, x) };
+                let (s0, s1) = dual_sweep(&scratch, width, &beta2, &x0, &x1);
+                for j in 0..LANES {
+                    let gram = rhs_o[j] - pa.g01[j] * x[j];
+                    let swept = [s0[j], s1[j]][o];
+                    let mut st: [LaneNnls; LANES] = Default::default();
+                    st[j].running = true;
+                    st[j].passive[p] = true;
+                    let cert = certified_duals(&st, &x0, &x1, &pa, max_len, tol);
+                    if (gram > tol) != (swept > tol) {
+                        witnesses += 1;
+                        assert!(
+                            cert.is_none(),
+                            "lane {j}: w̃ = {gram:e} and swept {swept:e} straddle tol, yet certified"
+                        );
+                    }
+                    if let Some((w0, w1)) = cert {
+                        assert_eq!([w0[j], w1[j]][o] > tol, swept > tol, "lane {j}");
+                    }
+                }
+                x = x.map(f64::next_up);
+            }
+        }
+        assert!(
+            witnesses > 0,
+            "no lane straddled tol: the planted crossing missed"
+        );
+    }
+
+    /// A planted lane whose fused sweep overflows: row 0 (`k = 0`, so
+    /// `r0 = 0`) has `r1·x1 = ∞`, so its term is `0·(−∞) = NaN` and the
+    /// swept `w0` is NaN (never `> tol`), while the other rows' Gram
+    /// gives `w̃0 > tol` with `m` far below `CERT_LIMIT`. Only the
+    /// `g_pp·x_p²` guard sees the overflow; the certificate must not
+    /// decide.
+    #[test]
+    fn certificate_falls_back_when_the_sweep_overflows() {
+        let tol = NnlsOptions::default().tolerance;
+        let mut hist = vec![(0.0, 1e151)];
+        hist.extend((1..=10).map(|s| (1e14 * s as f64, 5e-9)));
+        let (scratch, max_len, _, _) = gather(&vec![hist; LANES]);
+        let width = max_len * LANES;
+        let beta2 = [0.0; LANES];
+        let pa = pass_a(&scratch, width, &beta2, false);
+        let x0 = [0.0; LANES];
+        let x1 = [1e8; LANES];
+        let (s0, _) = dual_sweep(&scratch, width, &beta2, &x0, &x1);
+        let w_gram = pa.rhs0[0] - pa.g01[0] * x1[0];
+        assert!(s0[0].is_nan() && w_gram > tol && pa.rhs0[0] + pa.g01[0] * x1[0] < 1.0);
+        let mut st: [LaneNnls; LANES] = Default::default();
+        st[0].running = true;
+        st[0].passive = [false, true];
+        assert!(certified_duals(&st, &x0, &x1, &pa, max_len, tol).is_none());
     }
 }

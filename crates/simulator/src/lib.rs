@@ -27,6 +27,7 @@ pub mod inject;
 pub mod jobstate;
 pub mod metrics;
 pub mod sim;
+pub mod validate;
 
 pub use audit::{AuditSummary, EstimatorAudit};
 pub use equeue::{EventQueue, ScheduledEvent, SimEventType};
@@ -35,3 +36,4 @@ pub use inject::ErrorInjection;
 pub use jobstate::{JctClock, JctPhase, JobStatus, SimJob};
 pub use metrics::{JctBreakdown, SimReport, TimePoint};
 pub use sim::{AssignmentPolicy, BackgroundLoad, SimConfig, SimEngine, Simulation};
+pub use validate::ConfigError;

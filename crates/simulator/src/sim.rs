@@ -372,12 +372,22 @@ pub struct Simulation {
 
 impl Simulation {
     /// Builds a simulation over a cluster, a workload, and a scheduler.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ConfigError`](crate::ConfigError) when
+    /// `config` fails [`SimConfig::validate`] (for example a zero or
+    /// NaN `interval_s`, which would otherwise stall the run); call
+    /// `validate` first to handle that as an error.
     pub fn new(
         cluster: Cluster,
         specs: Vec<JobSpec>,
         scheduler: Box<dyn Scheduler>,
         config: SimConfig,
     ) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("invalid simulation config: {e}");
+        }
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let tel = config.telemetry.clone();
         let jobs = specs
@@ -2216,6 +2226,21 @@ mod tests {
             max_time_s: 40_000.0,
             ..SimConfig::default()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "SimConfig.interval_s must be a positive finite number")]
+    fn zero_interval_is_rejected_at_construction() {
+        let cfg = SimConfig {
+            interval_s: 0.0,
+            ..quick_config()
+        };
+        Simulation::new(
+            Cluster::paper_testbed(),
+            small_specs(1),
+            Box::new(OptimusScheduler::build()),
+            cfg,
+        );
     }
 
     #[test]

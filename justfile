@@ -34,6 +34,13 @@ bench-sched:
 bench-fit:
     cargo run --release -p optimus-bench --bin bench_fit -- --out BENCH_fit.json
 
+# Whole-simulation benchmark of a loaded cluster (perfbench/README.md):
+# builds perfbench into .bench_build and runs one workload, e.g.
+# `just perfbench testbed-contended 31 10 0`. The last stdout line is
+# the result JSON; TRACE=1 adds the per-layer attribution.
+perfbench WORKLOAD SEED="17" SECONDS="10" TRACE="0":
+    python3 perfbench/run.py --workload {{WORKLOAD}} --seed {{SEED}} --seconds {{SECONDS}} --trace {{TRACE}}
+
 # Allocator smoke: one steady-state bench sample per scalability point,
 # cross-checked against the naive reference scheduler (non-zero exit on
 # any divergent allocation or placement), plus the zero-allocation
@@ -48,9 +55,17 @@ bench-alloc:
 # (`speed_model_refit_matches_row_oracle`), the incremental
 # warm-started convergence fitter, the batched SoA fit engine (plus the
 # fitting crate's unit tests under release codegen, which pit the
-# portable wave passes against the AVX-512 ones bit for bit and the
-# Gram-cached NNLS against the naive Lawson–Hanson solver,
-# `reference_matches_gram_cached_solver`), and the simulator. The simulator suite runs four ways — under the
+# portable wave passes against the AVX-512 ones bit for bit on certified
+# and fallback waves (only pass A has an AVX-512 form; the fallback dual
+# sweep is portable), the Gram-cached NNLS against the naive
+# Lawson–Hanson solver, `reference_matches_gram_cached_solver`, and
+# prove the wave kernel's two Gram certificates: the entering-column
+# test decides as the dual sweep would,
+# `certified_entering_tests_decide_as_the_sweep` with
+# `certificate_falls_back_where_rounding_straddles_tol` and
+# `certificate_falls_back_when_the_sweep_overflows`, and the overflow
+# admission matches the row probe,
+# `overflow_admission_matches_the_row_probe`), and the simulator. The simulator suite runs four ways — under the
 # discrete-event engine (the default), forced to the legacy tick loop,
 # with the batched refit engine disabled, and with delta rounds
 # disabled (every round re-derived from scratch) — so every engine

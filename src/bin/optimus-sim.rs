@@ -124,6 +124,15 @@ impl<'a> Flags<'a> {
 /// Flags that only make sense as positive finite numbers.
 const POSITIVE_FLAGS: [&str; 2] = ["--target-hours", "--interval"];
 
+/// Runs [`SimConfig::validate`] on a built configuration: a rejected
+/// one is a usage error (exit 2), like a bad flag.
+fn check_config(cfg: &SimConfig) -> Result<(), ExitCode> {
+    cfg.validate().map_err(|e| {
+        eprintln!("error: {e}");
+        ExitCode::from(2)
+    })
+}
+
 fn build_workload(flags: &Flags) -> Result<Vec<JobSpec>, String> {
     if let Some(path) = flags.get("--trace-in") {
         let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -149,12 +158,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
     if let Err(code) = flags.check_positive() {
         return code;
     }
-    let run = || -> Result<(), String> {
+    let run = || -> Result<ExitCode, String> {
         let jobs = build_workload(&flags)?;
-        if let Some(path) = flags.get("--trace-out") {
-            let trace = WorkloadTrace::new("generated by optimus-sim run", jobs.clone());
-            std::fs::write(path, trace.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        }
         let job_count = jobs.len();
         let seed: u64 = flags.parse("--seed", 17)?;
         let scheduler_name = flags.get("--scheduler").unwrap_or("optimus");
@@ -236,6 +241,13 @@ fn cmd_run(args: &[String]) -> ExitCode {
             progress_every_s,
             ..SimConfig::default()
         };
+        if let Err(code) = check_config(&cfg) {
+            return Ok(code);
+        }
+        if let Some(path) = flags.get("--trace-out") {
+            let trace = WorkloadTrace::new("generated by optimus-sim run", jobs.clone());
+            std::fs::write(path, trace.to_json()).map_err(|e| format!("{path}: {e}"))?;
+        }
         // Resolved from OPTIMUS_DELTA_ROUNDS by the library default;
         // echoed into the ledger like the engine switch above.
         let delta_rounds = cfg.delta_rounds;
@@ -319,10 +331,10 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 println!("{}", report.events.to_json_lines());
             }
         }
-        Ok(())
+        Ok(ExitCode::SUCCESS)
     };
     match run() {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(code) => code,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -343,7 +355,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     if let Err(code) = flags.check_positive() {
         return code;
     }
-    let run = || -> Result<(), String> {
+    let run = || -> Result<ExitCode, String> {
         let jobs: usize = flags.parse("--jobs", 9)?;
         let hours: f64 = flags.parse("--target-hours", 2.0)?;
         let interval: f64 = flags.parse("--interval", 600.0)?;
@@ -383,6 +395,9 @@ fn cmd_batch(args: &[String]) -> ExitCode {
             },
             ..ComparisonSpec::default()
         };
+        if let Err(code) = check_config(&spec.base_config) {
+            return Ok(code);
+        }
         let results = optimus_bench::run_schedulers_parallel(&spec, &choices, threads);
         if flags.has("--json") {
             optimus_bench::print_json("batch", &results);
@@ -394,10 +409,10 @@ fn cmd_batch(args: &[String]) -> ExitCode {
             );
             optimus_bench::print_comparison(&title, &results);
         }
-        Ok(())
+        Ok(ExitCode::SUCCESS)
     };
     match run() {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(code) => code,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
